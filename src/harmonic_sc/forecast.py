@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from harmonic_sc.spectral import SpectralBasis, _check_order, difference_operator
+from harmonic_sc.spectral import SpectralBasis, _check_order
 
 RULE_KINDS = ("last_constant", "arima110", "ar", "hamilton")
 
@@ -74,7 +74,7 @@ def null_continuation(x: np.ndarray, q: int, horizon: int) -> np.ndarray:
         raise ForecastError(f"null path must be a vector of length > {q}")
     if horizon < 1:
         raise ForecastError(f"horizon must be positive, got {horizon}")
-    slack = float(np.max(np.abs(difference_operator(x.size, q) @ x)))
+    slack = float(np.max(np.abs(np.diff(x, n=q))))
     if slack > 1e-6 * (1.0 + float(np.max(np.abs(x)))):
         raise ForecastError(
             f"input is not in the order-{q} null space "

@@ -12,8 +12,8 @@ with exact endpoint branches ``S=I, W=K_q`` at rho=0 and ``S=P0,
 W=I-P0`` at rho=1 (P0 projects onto the penalty's null space: constants for
 q=1, constants plus linear trends for q=2).
 
-Eigendecomposition runs through a cyclic Jacobi sweep so q=1 and q=2 share
-one code path; bases are cached per (length, order) since they are
+Eigendecomposition runs through LAPACK (``numpy.linalg.eigh``) for q=1 and
+q=2 alike; bases are cached per (length, order) since they are
 data-independent.
 """
 
@@ -29,7 +29,7 @@ NULL_SPACE_RTOL = 1e-9
 
 
 class EigenSolverError(RuntimeError):
-    """Jacobi iteration failed to converge; message carries the sweep count."""
+    """The eigendecomposition failed or its spectrum did not pass the checks."""
 
 
 def _check_order(q: int) -> int:
@@ -47,76 +47,13 @@ def difference_operator(n: int, q: int) -> np.ndarray:
     q = _check_order(q)
     if n < q + 1:
         raise ValueError(f"need n >= {q + 1} for order {q} differences, got n={n}")
-    d = np.zeros((n - 1, n))
-    idx = np.arange(n - 1)
-    d[idx, idx] = -1.0
-    d[idx, idx + 1] = 1.0
-    if q == 1:
-        return d
-    return d[: n - 2, : n - 1] @ d
+    return np.diff(np.eye(n), n=q, axis=0)
 
 
 def penalty_matrix(n: int, q: int) -> np.ndarray:
     """Symmetric PSD penalty ``K_q = D_q' D_q`` with a q-dimensional null space."""
     d = difference_operator(n, q)
     return d.T @ d
-
-
-def _jacobi_eigh(a: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose a symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns eigenvalues (unsorted) and the accumulated rotation matrix whose
-    columns are the eigenvectors.  Classical threshold scheme: early sweeps
-    skip rotations below 0.2*off/n^2, later sweeps rotate every non-negligible
-    pair and zero out entries that no longer perturb the diagonal.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return np.diagonal(a).copy(), v
-
-    for sweep in range(1, max_sweeps + 1):
-        off = np.sum(np.abs(np.triu(a, 1)))
-        if off == 0.0:
-            return np.diagonal(a).copy(), v
-        tresh = 0.2 * off / (n * n) if sweep < 4 else 0.0
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                g = 100.0 * abs(apr)
-                # Small rotations that cannot move the diagonal are zeroed.
-                if sweep > 4 and abs(a[p, p]) + g == abs(a[p, p]) and abs(a[r, r]) + g == abs(a[r, r]):
-                    a[p, r] = a[r, p] = 0.0
-                    continue
-                if abs(apr) <= tresh:
-                    continue
-                h = a[r, r] - a[p, p]
-                if abs(h) + g == abs(h):
-                    t = apr / h
-                else:
-                    theta = 0.5 * h / apr
-                    t = 1.0 / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_r = a[:, r].copy()
-                a[:, p] = c * col_p - s * col_r
-                a[:, r] = s * col_p + c * col_r
-                row_p = a[p, :].copy()
-                row_r = a[r, :].copy()
-                a[p, :] = c * row_p - s * row_r
-                a[r, :] = s * row_p + c * row_r
-                vp = v[:, p].copy()
-                vr = v[:, r].copy()
-                v[:, p] = c * vp - s * vr
-                v[:, r] = s * vp + c * vr
-    raise EigenSolverError(
-        f"Jacobi eigensolver did not converge within {max_sweeps} sweeps "
-        f"(n={n}, off-diagonal mass {off:.3e})"
-    )
 
 
 @dataclass(frozen=True)
@@ -147,36 +84,58 @@ class SpectralBasis:
 def eigendecompose(k: np.ndarray, q: int) -> SpectralBasis:
     """Spectral basis of a penalty matrix, with null-space separation checks.
 
+    ``k`` must be an order-q difference penalty, whose null space is the
+    polynomials of degree < q.  LAPACK fixes that null space only to about
+    eps*|k|/mu_q, where mu_q is the smallest nonzero eigenvalue (3e-7 for
+    q=2 at n=200, where a linear trend then leaks 2e-6 through P0).  So the
+    computed null vectors are replaced by the exact orthonormal polynomials
+    and their component is taken out of the other eigenvectors.  That step
+    uses elementwise sums only, so the bytes do not depend on the BLAS
+    thread count.
+
     Raises
     ------
     EigenSolverError
-        If the Jacobi sweep does not converge, if the eigenvector matrix
+        If LAPACK reports a failure to converge, if the eigenvector matrix
         loses orthonormality, or if the spectrum does not separate cleanly
         into q null eigenvalues below the relative threshold and n-q
-        eigenvalues above it.
+        eigenvalues above it, with the polynomials of degree < q in the
+        null space.
     """
     q = _check_order(q)
     k = np.asarray(k, dtype=float)
     n = k.shape[0]
-    eigvals, vecs = _jacobi_eigh(k)
+    try:
+        eigvals, vecs = np.linalg.eigh(k)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(
+            f"eigh failed on the n={n} order-{q} penalty: {exc}"
+        ) from exc
     order = np.argsort(eigvals, kind="stable")
     eigvals = eigvals[order]
     vecs = vecs[:, order]
 
+    t = np.arange(n, dtype=float) - (n - 1) / 2.0
+    null = np.column_stack([np.ones(n), t])[:, :q]
+    null /= np.sqrt(np.sum(null * null, axis=0))
+    thr = NULL_SPACE_RTOL * max(eigvals[-1], 0.0)
+    null_resid = np.max(np.abs(k @ null))
+    if not (abs(eigvals[q - 1]) <= thr < eigvals[q] and null_resid <= thr):
+        raise EigenSolverError(
+            "null-space separation failed: expected exactly "
+            f"{q} eigenvalues below {thr:.3e}, spectrum starts "
+            f"{eigvals[: q + 2]}, polynomial residual {null_resid:.3e}"
+        )
+
+    rest = vecs[:, q:]
+    for col in null.T:
+        rest = rest - np.outer(col, np.sum(col[:, None] * rest, axis=0))
+    vecs = np.hstack([null, rest])
     ortho_err = np.max(np.abs(vecs.T @ vecs - np.eye(n)))
     if ortho_err > 1e-10:
         raise EigenSolverError(
             f"eigenvector orthonormality drift {ortho_err:.3e} exceeds 1e-10"
         )
-
-    thr = NULL_SPACE_RTOL * max(eigvals[-1], 0.0)
-    if not (abs(eigvals[q - 1]) <= thr < eigvals[q]):
-        raise EigenSolverError(
-            "null-space separation failed: expected exactly "
-            f"{q} eigenvalues below {thr:.3e}, spectrum starts "
-            f"{eigvals[: q + 2]}"
-        )
-    eigvals = eigvals.copy()
     eigvals[:q] = 0.0
     return SpectralBasis(n=n, q=q, eigenvalues=eigvals, eigenvectors=vecs, null_dim=q)
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,7 +83,7 @@ def test_eigendecompose_n3_q1_closed_form():
     np.testing.assert_allclose(basis.eigenvalues, [0.0, 1.0, 3.0], atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [10, 80])
+@pytest.mark.parametrize("n", [10, 80, 200])
 def test_q1_eigenvalues_closed_form(n):
     basis = spectral.spectral_basis(n, 1)
     j = np.arange(1, n + 1)
@@ -121,6 +126,46 @@ def test_eigendecompose_detects_wrong_null_dimension():
         spectral.eigendecompose(k, 2)
 
 
+def test_eigendecompose_wraps_lapack_failure(monkeypatch):
+    def failing_eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(spectral.EigenSolverError, match="eigh failed") as info:
+        spectral.eigendecompose(spectral.penalty_matrix(10, 1), 1)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+_BASIS_BYTES_SCRIPT = """
+import hashlib
+from harmonic_sc import spectral
+digest = hashlib.sha256()
+for n in (80, 200):
+    for q in (1, 2):
+        basis = spectral.spectral_basis(n, q)
+        digest.update(basis.eigenvalues.tobytes())
+        digest.update(basis.eigenvectors.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_basis_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", _BASIS_BYTES_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
+
+
 def test_basis_cache_returns_shared_object():
     assert spectral.spectral_basis(30, 1) is spectral.spectral_basis(30, 1)
 
@@ -135,6 +180,13 @@ def test_null_projectors_complementary():
     assert abs(p0 @ pp) < 1e-9
     # One more application changes nothing (idempotent).
     np.testing.assert_allclose(b.project_null(p0), p0, atol=1e-12)
+
+    # At n=200 the smallest nonzero q=2 eigenvalue is 3e-7; linear trends
+    # must still pass through P0 untouched.
+    b = spectral.spectral_basis(200, 2)
+    trend = 3.0 - 1.7 * np.arange(200, dtype=float)
+    np.testing.assert_allclose(b.project_null(trend), trend, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(b.project_perp(trend), 0.0, rtol=0, atol=1e-10)
 
 
 # ----------------------------------------------------------------- gains
