@@ -218,7 +218,6 @@ def ab_decompose(latent: LatentPanel, fit: hsc.HscFit) -> AbTerms:
     come from the fit itself, so the split always describes the estimator
     that was actually run.
     """
-    view = latent.to_view()
     if fit.weights.shape != (latent.n_donors,) or fit.r_pre.shape != (latent.t0,):
         raise ValueError("fit dimensions do not match the latent panel")
     cfg = fit.config
@@ -226,6 +225,18 @@ def ab_decompose(latent: LatentPanel, fit: hsc.HscFit) -> AbTerms:
     basis = spectral.spectral_basis(latent.t0, cfg.q)
     metric = spectral.rho_metric(basis, cfg.rho)
     pi, _ = _materialize_map(fit.forecaster, metric, latent.t_post)
+    return _ab_terms(latent, fit, parts, metric, pi)
+
+
+def _ab_terms(
+    latent: LatentPanel,
+    fit: hsc.HscFit,
+    parts: _OracleParts,
+    metric: spectral.RhoMetric,
+    pi: np.ndarray,
+) -> AbTerms:
+    """:func:`ab_decompose` given the oracle parts and the fit's forecast map."""
+    view = latent.to_view()
     term_a = (view.x_post - pi @ view.x_pre) @ (parts.weights - fit.weights)
     smoothed = spectral.smoother_apply(metric, parts.r_pre)
     term_b = parts.r_post - fit.forecaster.apply(smoothed, latent.t_post)
@@ -252,12 +263,19 @@ def gradient_channels(
     parts = _oracle_parts(latent, q, zeta)
     basis = spectral.spectral_basis(latent.t0, q)
     metric = spectral.rho_metric(basis, rho)
+    return _gradient_channels(latent, metric, parts)
+
+
+def _gradient_channels(
+    latent: LatentPanel, metric: spectral.RhoMetric, parts: _OracleParts
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`gradient_channels` given the metric and the oracle parts."""
     t0 = latent.t0
     l0 = latent.signal[:t0, 1:]
     r0 = latent.remainder[:t0, 1:]
     x_pre = latent.to_view().x_pre
     w_e_signal = spectral.metric_apply(metric, parts.e_signal)
-    perp_e_signal = basis.project_perp(parts.e_signal)
+    perp_e_signal = metric.basis.project_perp(parts.e_signal)
     g1 = l0.T @ (w_e_signal - perp_e_signal)
     g2 = r0.T @ w_e_signal
     g3 = x_pre.T @ spectral.metric_apply(metric, parts.e_remainder)
@@ -326,17 +344,29 @@ def channels(
     :func:`ab_decompose` whenever both use the same forecaster.  Passing no
     ``forecaster`` uses the parameter-free constant continuation.
     """
-    t0 = latent.t0
-    basis = spectral.spectral_basis(t0, q)
+    basis = spectral.spectral_basis(latent.t0, q)
     metric = spectral.rho_metric(basis, rho)
     if forecaster is None:
         forecaster = forecast.ComposedForecaster(
             rule=forecast.ForecastRule(kind="last_constant", q=q, fitted_params=()),
             basis=basis,
         )
-    view = latent.to_view()
     parts = _oracle_parts(latent, q, zeta)
-    g1, g2, g3 = gradient_channels(latent, rho, q, zeta)
+    pi, _ = _materialize_map(forecaster, metric, latent.t_post)
+    return _channel_report(latent, metric, zeta, parts, pi)
+
+
+def _channel_report(
+    latent: LatentPanel,
+    metric: spectral.RhoMetric,
+    zeta: float,
+    parts: _OracleParts,
+    pi: np.ndarray,
+) -> ChannelReport:
+    """:func:`channels` given the oracle parts and the forecast map."""
+    t0 = latent.t0
+    view = latent.to_view()
+    g1, g2, g3 = _gradient_channels(latent, metric, parts)
 
     design = spectral.sqrt_factor(metric) @ view.x_pre
     q_mat = design.T @ design / t0 + zeta * zeta * np.eye(latent.n_donors)
@@ -361,7 +391,6 @@ def channels(
         np.sqrt(spectral.metric_quadform(metric, parts.e_remainder) / t0)
     )
 
-    pi, _ = _materialize_map(forecaster, metric, latent.t_post)
     c_mat = view.x_post - pi @ view.x_pre
     transfer = _operator_norm((c_mat @ evecs) * np.sqrt(inv))
     envelope = transfer * (a1 + a2 + a3)
@@ -456,11 +485,16 @@ def decompose(
     pseudo = np.zeros(n_grid, dtype=bool)
     condition = np.empty(n_grid)
 
+    basis = spectral.spectral_basis(latent.t0, q)
     for g, rho in enumerate(grid):
         cfg = hsc.HscConfig(rho=float(rho), q=q, rule_kind=rule_kind, zeta=zeta_val)
         fit = hsc.fit(view, cfg)
-        ab = ab_decompose(latent, fit)
-        ch = channels(latent, float(rho), q, zeta_val, forecaster=fit.forecaster)
+        # One oracle solve and one forecast map per grid point serve both
+        # the error split and the channel bounds.
+        metric = spectral.rho_metric(basis, cfg.rho)
+        pi, _ = _materialize_map(fit.forecaster, metric, latent.t_post)
+        ab = _ab_terms(latent, fit, parts, metric, pi)
+        ch = _channel_report(latent, metric, zeta_val, parts, pi)
         weights[g] = fit.weights
         term_a[g] = ab.term_a
         term_b[g] = ab.term_b

@@ -108,12 +108,14 @@ def _profiled_weights(
     u_x: np.ndarray,
     match_gains: np.ndarray,
     ridge: float,
+    init: np.ndarray | None = None,
 ) -> qp.QPSolution:
     """Solve for donor weights in spectral coordinates.
 
     ``u_y = V' y`` and ``u_x = V' X`` are the series expressed in the penalty
     eigenbasis; rescaling their rows by sqrt(match_gains) turns the metric
-    objective into an ordinary least-squares form.
+    objective into an ordinary least-squares form.  ``init`` is the solver's
+    starting point, typically the weights at a neighbouring rho.
     """
     root = np.sqrt(match_gains)
     by = root * u_y
@@ -125,7 +127,7 @@ def _profiled_weights(
         offset=float(by @ by),
         ridge=ridge,
     )
-    return qp.solve(problem)
+    return qp.solve(problem, init=init)
 
 
 def fit(view: PrePostView, cfg: HscConfig) -> HscFit:

@@ -7,10 +7,19 @@ weights on latent structure, and the level-matching baselines — solves
 
 for some square-root factor C of a PSD metric.  :func:`build` reduces that
 to coefficient form (gram, linear, offset) once, so callers can solve many
-programs against the same design cheaply; :func:`solve` runs an accelerated
-projected-gradient method with exact sort-based simplex projection, a
-monotonicity safeguard, and a periodic active-set polish that finishes the
-run with a direct KKT solve once the support has settled.
+programs against the same design cheaply.
+
+:func:`solve` is polish-first.  It opens with an active-set step in the
+manner of Lawson & Hanson (1974, ch. 23): a direct KKT solve on the
+starting point's support, and on that support enlarged by the coordinates
+whose gradient undercuts the support multiplier, with infeasible
+coordinates dropped and the system re-solved.  A good starting point (such
+as the solution at a neighbouring rho) usually lies on the optimal face or
+next to it, so the opening polish finishes the run without a single
+gradient step.  Otherwise an accelerated projected-gradient method with
+exact sort-based simplex projection and a monotonicity safeguard takes
+over, and repeats the same polish every 20 iterations until the support
+settles.
 """
 
 from __future__ import annotations
@@ -172,10 +181,12 @@ def _polish(qp: SimplexQP, support: np.ndarray, rounds: int = 5) -> np.ndarray |
     """Solve the equality-constrained QP restricted to ``support``.
 
     Returns a full-length weight vector, or None when no feasible face is
-    found.  The system is solved with ``lstsq`` rather than a direct solve:
+    found.  The bordered KKT matrix is factored once by SVD and solved in
+    the least-squares sense, with singular values at or below
+    ``eps * (m + 1) * s_max`` dropped (the cutoff ``lstsq`` applies):
     restricted to a flat optimal face the gram is rank-deficient and the
-    KKT matrix exactly singular, and the least-squares solution then picks
-    the minimum-norm point of the face.  When the solution leaves the trial
+    KKT matrix exactly singular, and the pseudo-inverse then picks the
+    minimum-norm point of the face.  When the solution leaves the trial
     face (negative weights), those coordinates are dropped and the system
     re-solved, so a slightly-too-large trial shrinks to a feasible face
     instead of being rejected outright.  The caller's exact stationarity
@@ -193,7 +204,14 @@ def _polish(qp: SimplexQP, support: np.ndarray, rounds: int = 5) -> np.ndarray |
         kkt[:m, m] = 1.0
         kkt[m, :m] = 1.0
         rhs = np.concatenate([-2.0 * qp.linear[idx], [1.0]])
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        u, s, vt = np.linalg.svd(kkt)
+        keep = s > np.finfo(float).eps * (m + 1) * s[0]
+        u, vt, s_inv = u[:, keep], vt[keep], 1.0 / s[keep]
+
+        def pinv_solve(b: np.ndarray) -> np.ndarray:
+            return vt.T @ (s_inv * (u.T @ b))
+
+        sol = pinv_solve(rhs)
         # Iterative refinement with the residual accumulated in extended
         # precision.  The bordered system mixes gram-scale and unit-scale
         # rows, and the plain backward-stable solve leaves the support
@@ -206,7 +224,7 @@ def _polish(qp: SimplexQP, support: np.ndarray, rounds: int = 5) -> np.ndarray |
             if not np.all(np.isfinite(sol)):
                 break
             resid = rhs_l - kkt_l @ sol.astype(np.longdouble)
-            corr, *_ = np.linalg.lstsq(kkt, resid.astype(np.float64), rcond=None)
+            corr = pinv_solve(resid.astype(np.float64))
             if not np.all(np.isfinite(corr)) or not np.any(corr):
                 break
             sol = sol + corr
@@ -252,14 +270,20 @@ def solve(
 ) -> QPSolution:
     """Minimize the QP over the simplex.
 
-    Accelerated projected gradient with a monotone safeguard: whenever the
-    accelerated step would increase the objective, momentum restarts and a
-    plain projected-gradient step (with step-size backtracking) is taken
-    instead, so the objective sequence is nonincreasing by construction.
-    Every 20 iterations the current support — and, when some zero
-    coordinate's gradient undercuts the support multiplier, the support
-    enlarged by those coordinates — is polished by a direct KKT solve with
-    active-set backoff, which typically terminates the run exactly.
+    The run opens with a polish of the starting point: a direct KKT solve
+    with active-set backoff on its support and, when some zero coordinate's
+    gradient undercuts the support multiplier, on the support enlarged by
+    those coordinates.  A polished point is accepted when it does not raise
+    the objective beyond rounding noise and meets the stationarity target;
+    the run then ends with ``iterations == 0`` ("finished by the opening
+    polish").  Otherwise accelerated projected gradient takes over, with
+    a monotone safeguard: whenever the accelerated step would increase the
+    objective, momentum restarts and a plain projected-gradient step (with
+    step-size backtracking) is taken instead, so the objective sequence is
+    nonincreasing by construction.  Its step size comes from a power-
+    iteration estimate of the Lipschitz constant, computed only once the
+    loop starts.  Every 20 iterations the same polish is repeated, which
+    typically terminates the run exactly.
 
     Parameters
     ----------
@@ -270,18 +294,24 @@ def solve(
         Iteration budget; exceeding it raises :class:`SolverStall` with the
         best iterate attached.
     init : ndarray, optional
-        Feasible starting point (projected onto the simplex if not already
-        on it); defaults to the uniform vector.
+        Starting point, projected onto the simplex unless it already lies
+        on it (to within 1e-12 in the sum); defaults to the uniform
+        vector.  The solution of a nearby program makes the opening polish
+        land on the optimal face directly.
     trace : list, optional
-        If given, the objective value is appended once per iteration.
+        If given, the starting objective is appended, then one value per
+        iteration, then the polished value when a polish ends the run.
     """
     n = qp.n
     if init is None:
         x = np.full(n, 1.0 / n)
     else:
-        x = project_simplex(np.asarray(init, dtype=float))
-    lip = _lipschitz(qp.gram, qp.ridge)
-    refreshed = False
+        x = np.array(init, dtype=float)
+        # A point already on the simplex is kept as given: projecting it
+        # anew can lift its zero coordinates to rounding dust, and the
+        # opening polish would then start from the full support.
+        if not (np.all(x >= 0.0) and abs(x.sum() - 1.0) <= 1e-12):
+            x = project_simplex(x)
     # The objective is evaluated by cancelling terms of this magnitude, so
     # differences below ``noise`` are indistinguishable from rounding; the
     # KKT residual, not the objective, discriminates near the optimum.
@@ -294,21 +324,56 @@ def solve(
     noise = 1e-13 * (1.0 + obj_scale)
 
     f_x = qp.eval(x)
-    y = x
-    t_mom = 1.0
+    grad_x = qp.gradient(x)
+    if trace is not None:
+        trace.append(f_x)
     best_w, best_f, best_kkt = x, f_x, np.inf
+    y, t_mom = x, 1.0
+    it = 0
+    while True:
+        if it % 20 == 0:
+            # At it == 0 this is the opening polish.  Beside the current
+            # face, try the face the gradient points at: a zero coordinate
+            # undercutting the support multiplier may be optimal at a weight
+            # far below what projected steps can build up, and only the
+            # direct solve places it exactly.
+            support = x > 0.0
+            nu = float(np.mean(grad_x[support]))
+            entering = ~support & (grad_x < nu)
+            trials = [support]
+            if np.any(entering):
+                trials.append(support | entering)
+            for trial in trials:
+                polished = _polish(qp, trial)
+                if polished is None:
+                    continue
+                f_p = qp.eval(polished)
+                if f_p > f_x + noise:
+                    continue
+                grad_p = qp.gradient(polished)
+                kkt_p = _kkt_residual(polished, grad_p)
+                if kkt_p <= tol * (1.0 + float(np.linalg.norm(grad_p))):
+                    if trace is not None:
+                        trace.append(f_p)
+                    return _finish(polished, f_p, it, kkt_p)
+                if f_p < f_x:
+                    x, f_x = polished, f_p
+                    y, t_mom = x, 1.0
+                    if f_x < best_f:
+                        best_w, best_f, best_kkt = x, f_x, kkt_p
+        if it == max_iter:
+            break
+        if it == 0:
+            lip = _lipschitz(qp.gram, qp.ridge)
+        it += 1
 
-    for it in range(1, max_iter + 1):
-        grad_y = 2.0 * (qp.gram @ y + qp.ridge * y + qp.linear)
+        grad_y = qp.gradient(y)
         x_new = project_simplex(y - grad_y / lip)
         f_new = qp.eval(x_new)
 
         if f_new > f_x:
             # Momentum overshoot: restart and take a guarded plain step.
-            if not refreshed:
-                lip = max(lip, _lipschitz(qp.gram, qp.ridge))
-                refreshed = True
-            grad_x = 2.0 * (qp.gram @ x + qp.ridge * x + qp.linear)
+            grad_x = qp.gradient(x)
             for _ in range(60):
                 x_new = project_simplex(x - grad_x / lip)
                 f_new = qp.eval(x_new)
@@ -330,42 +395,12 @@ def solve(
         if trace is not None:
             trace.append(f_x)
 
-        grad_x = 2.0 * (qp.gram @ x + qp.ridge * x + qp.linear)
+        grad_x = qp.gradient(x)
         kkt = _kkt_residual(x, grad_x)
         if f_x < best_f or (f_x == best_f and kkt < best_kkt):
             best_w, best_f, best_kkt = x, f_x, kkt
         if kkt <= tol * (1.0 + float(np.linalg.norm(grad_x))):
             return _finish(x, f_x, it, kkt)
-
-        if it % 20 == 0:
-            # Beside the current face, try the face the gradient points at:
-            # a zero coordinate undercutting the support multiplier may be
-            # optimal at a weight far below what projected steps can build
-            # up, and only the direct solve places it exactly.
-            support = x > 0.0
-            nu = float(np.mean(grad_x[support]))
-            entering = ~support & (grad_x < nu)
-            trials = [support]
-            if np.any(entering):
-                trials.append(support | entering)
-            for trial in trials:
-                polished = _polish(qp, trial)
-                if polished is None:
-                    continue
-                f_p = qp.eval(polished)
-                if f_p > f_x + noise:
-                    continue
-                grad_p = 2.0 * (qp.gram @ polished + qp.ridge * polished + qp.linear)
-                kkt_p = _kkt_residual(polished, grad_p)
-                if kkt_p <= tol * (1.0 + float(np.linalg.norm(grad_p))):
-                    if trace is not None:
-                        trace.append(f_p)
-                    return _finish(polished, f_p, it, kkt_p)
-                if f_p < f_x:
-                    x, f_x = polished, f_p
-                    y, t_mom = x, 1.0
-                    if f_x < best_f:
-                        best_w, best_f, best_kkt = x, f_x, kkt_p
 
     stalled = _finish(best_w, best_f, max_iter, best_kkt)
     raise SolverStall(

@@ -171,15 +171,21 @@ def _fold_errors(
     u_x = v.T @ x_tr
 
     out = np.empty((h, rho_grid.size))
+    weights = None
     for gi, rho in enumerate(rho_grid):
         metric = spectral.rho_metric(basis, rho)
-        sol = hsc._profiled_weights(u_y, u_x, metric.match_gains, ridge)
-        u_r = u_y - u_x @ sol.weights
+        # Neighbouring grid points share (or nearly share) the optimal face,
+        # so each solve starts from the previous one's weights.
+        sol = hsc._profiled_weights(
+            u_y, u_x, metric.match_gains, ridge, init=weights
+        )
+        weights = sol.weights
+        u_r = u_y - u_x @ weights
         e_tr = v @ (metric.shrink_gains * u_r)
         fc = forecast.compose(
             rule_kind, q, basis, e_tr, h, order=ar_order, lags=hamilton_lags
         )
-        pred = x_val @ sol.weights + fc
+        pred = x_val @ weights + fc
         out[:, gi] = (y_val - pred) ** 2
     return out
 

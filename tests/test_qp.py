@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonic_sc import qp
+from harmonic_sc import qp, spectral
 
 
 def random_instance(seed, n_obs=12, n_donors=4, ridge=0.0):
@@ -156,6 +156,8 @@ def test_objective_monotone_along_iterations():
     problem = random_instance(21, n_obs=30, n_donors=8)
     trace: list = []
     qp.solve(problem, trace=trace)
+    # The starting objective and the polished one at the least.
+    assert len(trace) >= 2
     diffs = np.diff(np.array(trace))
     assert np.all(diffs <= 1e-12 * (1.0 + np.abs(trace[:-1])))
 
@@ -178,6 +180,24 @@ def test_strict_convexity_start_independence():
     from_uniform = qp.solve(problem)
     from_vertex = qp.solve(problem, init=e0)
     np.testing.assert_allclose(from_vertex.weights, from_uniform.weights, atol=1e-7)
+
+    # Warm start as cross-validation uses it: the weights at the
+    # neighbouring rho of a spectral-metric program.
+    rng = np.random.default_rng(43)
+    x = np.cumsum(rng.normal(size=(30, 8)), axis=0)
+    y = x @ rng.dirichlet(np.ones(8)) + 0.3 * rng.normal(size=30)
+    basis = spectral.spectral_basis(30, 1)
+    v = basis.eigenvectors
+
+    def program(rho):
+        root = np.sqrt(spectral.rho_metric(basis, rho).match_gains)
+        return qp.build(root[:, None] * v.T, y, x, ridge=0.5)
+
+    neighbour = qp.solve(program(0.45)).weights
+    cold = qp.solve(program(0.5))
+    warm = qp.solve(program(0.5), init=neighbour)
+    np.testing.assert_allclose(warm.weights, cold.weights, atol=1e-10)
+    assert warm.iterations == 0
 
 
 def test_solution_is_clean_simplex_point():
@@ -202,14 +222,24 @@ def test_solution_satisfies_reported_kkt():
 
 
 def test_stall_raises_with_best_iterate():
+    # A zero tolerance is out of reach for any polish, so the run must
+    # exhaust its budget.
     problem = random_instance(71, n_obs=40, n_donors=10)
     with pytest.raises(qp.SolverStall) as excinfo:
-        qp.solve(problem, tol=1e-16, max_iter=3)
+        qp.solve(problem, tol=0.0, max_iter=3)
     best = excinfo.value.solution
     assert best.weights.sum() == pytest.approx(1.0, abs=1e-10)
     assert best.iterations == 3
     assert np.isfinite(best.objective)
     assert np.isfinite(best.kkt_residual)
+
+
+def test_opening_polish_finishes_the_run():
+    problem = random_instance(71, n_obs=40, n_donors=10)
+    sol = qp.solve(problem, max_iter=3)
+    assert sol.iterations == 0
+    grad = problem.gradient(sol.weights)
+    assert sol.kkt_residual <= 1e-10 * (1.0 + np.linalg.norm(grad))
 
 
 def test_degenerate_flat_objective_terminates():

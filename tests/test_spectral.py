@@ -138,13 +138,21 @@ def test_eigendecompose_wraps_lapack_failure(monkeypatch):
 
 _BASIS_BYTES_SCRIPT = """
 import hashlib
-from harmonic_sc import spectral
+import numpy as np
+from harmonic_sc import spectral, tuning
 digest = hashlib.sha256()
 for n in (80, 200):
     for q in (1, 2):
         basis = spectral.spectral_basis(n, q)
         digest.update(basis.eigenvalues.tobytes())
         digest.update(basis.eigenvectors.tobytes())
+# Warm-started cross-validation on a 30-donor panel: every QP solve and
+# polish factorization along the rho grid enters the hash.
+rng = np.random.default_rng(5)
+x = np.cumsum(rng.normal(size=(60, 30)), axis=0)
+y = x @ rng.dirichlet(np.ones(30)) + 0.5 * rng.normal(size=60)
+plan = tuning.CvPlan(h=2, folds=5, candidates=((1, "last_constant"), (2, "ar")))
+digest.update(tuning.cross_validate(y, x, plan).per_fold_errors.tobytes())
 print(digest.hexdigest())
 """
 

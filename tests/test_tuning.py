@@ -180,6 +180,37 @@ def test_single_fold_matches_standalone_fit():
     assert_allclose(result.table[0, 0], expected, rtol=1e-10)
 
 
+def test_warm_started_grid_matches_cold_refits():
+    # Each grid point's solve starts from the previous point's weights; the
+    # errors must match independent fits that start from scratch.
+    rng = np.random.default_rng(37)
+    y_pre, x_pre, _, _ = random_panel(rng, t0=30, n_donors=8, noise=0.3)
+    grid = np.linspace(0, 1, 11)
+    zeta = 0.2
+    plan = tuning.CvPlan(
+        h=2, folds=4, rho_grid=grid, zeta=zeta,
+        candidates=((1, "last_constant"), (2, "ar")),
+    )
+    result = tuning.cross_validate(y_pre, x_pre, plan)
+
+    cold = np.empty_like(result.per_fold_errors)
+    for ci, (q, rule) in enumerate(plan.candidates):
+        for li, k in enumerate(result.origins):
+            view = PrePostView(
+                y_pre=y_pre[:k], x_pre=x_pre[:k],
+                y_post=y_pre[k : k + 2], x_post=x_pre[k : k + 2],
+            )
+            for gi, rho in enumerate(grid):
+                cfg = hsc.HscConfig(rho=rho, q=q, rule_kind=rule, zeta=zeta)
+                fit = hsc.fit(view, cfg)
+                cold[ci, li, :, gi] = (view.y_post - fit.counterfactual) ** 2
+    assert_allclose(result.per_fold_errors, cold, rtol=1e-12, atol=0.0)
+    table = cold.mean(axis=(1, 2))
+    ci = int(np.argmin(table.min(axis=1)))
+    assert result.best_candidate == plan.candidates[ci]
+    assert result.best_rho == grid[np.argmin(table[ci])]
+
+
 def test_errors_nonnegative_and_table_is_their_mean():
     rng = np.random.default_rng(3)
     y_pre, x_pre, _, _ = random_panel(rng, t0=26, n_donors=5)
