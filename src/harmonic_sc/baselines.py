@@ -59,7 +59,7 @@ def _zero_if_dust(stripped: np.ndarray, original: np.ndarray) -> np.ndarray:
 
 
 def _solve_identity_qp(y: np.ndarray, x: np.ndarray, ridge: float) -> qp.QPSolution:
-    return qp.solve(qp.build(np.eye(len(y)), y, x, ridge))
+    return qp.solve(qp.build(y, x, ridge))
 
 
 def fit_sc(view: PrePostView, ridge: float = 0.0) -> BaselineFit:
@@ -177,3 +177,21 @@ def fit_sdid(view: PrePostView, ridge_policy: float | str = "auto") -> BaselineF
         counterfactual=view.x_post @ w + float(lam @ residual),
         solution=unit_sol,
     )
+
+
+def fit(method: str, view: PrePostView) -> BaselineFit:
+    """Fit the baseline ``method`` (one of :data:`METHODS`) at its defaults.
+
+    The fitters are looked up on this module at call time, so a patched
+    ``fit_*`` attribute is the one that runs.
+    """
+    fitters = {
+        "sc": fit_sc,
+        "sc_int": fit_sc_int,
+        "sc_int_trend": lambda v: fit_sc_int(v, with_trend=True),
+        "diff_sc": fit_diff_sc,
+        "sdid": fit_sdid,
+    }
+    if method not in fitters:
+        raise ValueError(f"unknown baseline method {method!r}")
+    return fitters[method](view)

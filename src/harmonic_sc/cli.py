@@ -17,9 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -127,7 +125,7 @@ _DEFAULTS = {
         "seed": 0,
         "h": 1,
         "folds": 10,
-        "threads": 0,
+        "threads": 1,
     },
     "decompose": {
         "reps": 50,
@@ -135,7 +133,7 @@ _DEFAULTS = {
         "q": 1,
         "forecaster": "last_constant",
         "zeta": "auto",
-        "threads": 0,
+        "threads": 1,
     },
 }
 
@@ -186,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(sim, "--seed", type=int)
     _add(sim, "--h", type=int, help="cross-validation horizon for hsc tokens")
     _add(sim, "--folds", type=int)
-    _add(sim, "--threads", type=int, help="worker threads (0 = all cores)")
+    _add(sim, "--threads", type=int, help="worker threads >= 1 (default 1; GIL-bound)")
     _add(sim, "--t0", type=int, help="override the design's pre-period length")
     _add(sim, "--tpost", type=int, help="override the post-period length")
     _add(sim, "--n0", type=int, help="override the donor count")
@@ -201,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(dec, "--q", type=int)
     _add(dec, "--forecaster")
     _add(dec, "--zeta")
-    _add(dec, "--threads", type=int)
+    _add(dec, "--threads", type=int, help="worker threads, as for simulate")
     _add(dec, "--t0", type=int)
     _add(dec, "--tpost", type=int)
     _add(dec, "--n0", type=int)
@@ -249,8 +247,10 @@ def _out_dir(resolved: dict) -> Path:
 
 
 def _thread_count(resolved: dict) -> int:
-    threads = int(resolved.get("threads", 0))
-    return threads if threads > 0 else (os.cpu_count() or 1)
+    threads = int(resolved["threads"])
+    if threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {threads}")
+    return threads
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +288,7 @@ def cmd_estimate(resolved: dict) -> int:
             "zeta": fit.zeta,
         }
     elif method in baselines.METHODS:
-        fitters = {
-            "sc": baselines.fit_sc,
-            "sc_int": baselines.fit_sc_int,
-            "sc_int_trend": lambda v: baselines.fit_sc_int(v, with_trend=True),
-            "diff_sc": baselines.fit_diff_sc,
-            "sdid": baselines.fit_sdid,
-        }
-        fit = fitters[method](view)
+        fit = baselines.fit(method, view)
         weights = fit.weights
         counterfactual = fit.counterfactual
         donor_part = view.x_post @ weights
@@ -510,13 +503,7 @@ def cmd_decompose(resolved: dict) -> int:
             ]
         )
 
-    threads = _thread_count(resolved)
-    rep_ids = range(1, reps + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            stacks = list(pool.map(one_rep, rep_ids))
-    else:
-        stacks = [one_rep(rep) for rep in rep_ids]
+    stacks = mc.map_replications(one_rep, reps, _thread_count(resolved))
     mean = np.mean(np.stack(stacks), axis=0)
     grid = np.array(decomp.DEFAULT_RHO_GRID)
 

@@ -126,12 +126,9 @@ def oracle_weights(latent: LatentPanel, q: int, zeta: float) -> np.ndarray:
     untouched by the idiosyncratic part.
     """
     basis = spectral.spectral_basis(latent.t0, q)
-    metric = spectral.rho_metric(basis, 1.0)
-    v = basis.eigenvectors
-    l1 = latent.signal[: latent.t0, 0]
-    l0 = latent.signal[: latent.t0, 1:]
-    sol = hsc._profiled_weights(
-        v.T @ l1, v.T @ l0, metric.match_gains, zeta * zeta * latent.t0
+    sig = latent.signal[: latent.t0]
+    sol, _, _ = next(
+        hsc.fit_path(sig[:, 0], sig[:, 1:], basis, (1.0,), zeta * zeta * latent.t0)
     )
     return sol.weights
 
@@ -282,29 +279,6 @@ def _gradient_channels(
     return g1, g2, g3
 
 
-def _operator_norm(mat: np.ndarray) -> float:
-    """Largest singular value by power iteration on the small Gram matrix."""
-    gram = mat.T @ mat
-    n = gram.shape[0]
-    if n == 0:
-        return 0.0
-    v = 1.0 + np.linspace(0.0, 1.0, n)
-    v /= np.linalg.norm(v)
-    lam = float(v @ gram @ v)
-    for _ in range(10000):
-        gv = gram @ v
-        norm = np.linalg.norm(gv)
-        if norm == 0.0:
-            return 0.0
-        v = gv / norm
-        lam_new = float(v @ gram @ v)
-        if abs(lam_new - lam) <= 1e-10 * (1.0 + abs(lam_new)):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(max(lam, 0.0)))
-
-
 @dataclass(frozen=True)
 class ChannelReport:
     """Per-channel bounds on the weight gap and their envelope.
@@ -392,7 +366,7 @@ def _channel_report(
     )
 
     c_mat = view.x_post - pi @ view.x_pre
-    transfer = _operator_norm((c_mat @ evecs) * np.sqrt(inv))
+    transfer = float(np.linalg.norm((c_mat @ evecs) * np.sqrt(inv), 2))
     envelope = transfer * (a1 + a2 + a3)
     return ChannelReport(
         a1=a1,

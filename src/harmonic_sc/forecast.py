@@ -260,19 +260,6 @@ def apply_rule(rule: ForecastRule, z: np.ndarray, horizon: int) -> np.ndarray:
     raise ForecastError(f"unknown forecast rule {rule.kind!r}")
 
 
-def fit_and_forecast(
-    rule_kind: str,
-    q: int,
-    residual_component: np.ndarray,
-    horizon: int,
-    order: int = 4,
-    lags: int = 4,
-) -> np.ndarray:
-    """Fit a rule on the remainder series and forecast in one shot."""
-    rule = fit_rule(rule_kind, q, residual_component, horizon, order=order, lags=lags)
-    return apply_rule(rule, residual_component, horizon)
-
-
 @dataclass(frozen=True)
 class ComposedForecaster:
     """Null-route continuation plus a frozen data-driven rule on the rest.

@@ -15,6 +15,9 @@ forecast rule:
 
 Everything here works in the penalty eigenbasis, so the smoother and metric
 are diagonal rescalings; no T0 x T0 system is ever solved per candidate rho.
+:func:`fit_path` is the one weight path: it solves the profiled program
+along a rho grid, and :func:`fit` (a grid of one), the oracle weights of
+``decomp`` and the cross-validation of ``tuning`` all go through it.
 """
 
 from __future__ import annotations
@@ -103,31 +106,37 @@ def auto_zeta(x_pre: np.ndarray, t_post: int) -> float:
     return float(t_post) ** 0.25 * sigma
 
 
-def _profiled_weights(
-    u_y: np.ndarray,
-    u_x: np.ndarray,
-    match_gains: np.ndarray,
+def fit_path(
+    y: np.ndarray,
+    x: np.ndarray,
+    basis: spectral.SpectralBasis,
+    rho_grid,
     ridge: float,
-    init: np.ndarray | None = None,
-) -> qp.QPSolution:
-    """Solve for donor weights in spectral coordinates.
+):
+    """Profiled donor weights along ``rho_grid``, one grid point at a time.
 
-    ``u_y = V' y`` and ``u_x = V' X`` are the series expressed in the penalty
-    eigenbasis; rescaling their rows by sqrt(match_gains) turns the metric
-    objective into an ordinary least-squares form.  ``init`` is the solver's
-    starting point, typically the weights at a neighbouring rho.
+    ``V'y`` and ``V'X`` (the series in the penalty eigenbasis) are formed
+    once; at each rho their rows are rescaled by sqrt(match_gains), which
+    turns the metric objective into an ordinary least-squares program, and
+    the solve starts from the previous rho's weights (neighbouring grid
+    points share, or nearly share, the optimal face).
+
+    Yields ``(solution, r, e)`` per rho: the :class:`qp.QPSolution`, the
+    residual ``r = y - X w`` and its smooth part
+    ``e = V diag(s) (V'y - V'X w)``.
     """
-    root = np.sqrt(match_gains)
-    by = root * u_y
-    bx = root[:, None] * u_x
-    gram = bx.T @ bx
-    problem = qp.SimplexQP(
-        gram=(gram + gram.T) / 2.0,
-        linear=-(bx.T @ by),
-        offset=float(by @ by),
-        ridge=ridge,
-    )
-    return qp.solve(problem, init=init)
+    v = basis.eigenvectors
+    u_y = v.T @ y
+    u_x = v.T @ x
+    weights = None
+    for rho in rho_grid:
+        metric = spectral.rho_metric(basis, rho)
+        root = np.sqrt(metric.match_gains)
+        problem = qp.build(root * u_y, root[:, None] * u_x, ridge)
+        solution = qp.solve(problem, init=weights)
+        weights = solution.weights
+        e = v @ (metric.shrink_gains * (u_y - u_x @ weights))
+        yield solution, y - x @ weights, e
 
 
 def fit(view: PrePostView, cfg: HscConfig) -> HscFit:
@@ -153,14 +162,10 @@ def fit(view: PrePostView, cfg: HscConfig) -> HscFit:
 
     zeta = auto_zeta(x, t_post) if cfg.zeta == "auto" else float(cfg.zeta)
     basis = spectral.spectral_basis(t0, cfg.q)
-    metric = spectral.rho_metric(basis, cfg.rho)
-
-    v = basis.eigenvectors
-    solution = _profiled_weights(v.T @ y, v.T @ x, metric.match_gains, zeta * zeta * t0)
+    solution, r_pre, e_pre = next(
+        fit_path(y, x, basis, (cfg.rho,), zeta * zeta * t0)
+    )
     w_hat = solution.weights
-
-    r_pre = y - x @ w_hat
-    e_pre = spectral.smoother_apply(metric, r_pre)
     u_pre = r_pre - e_pre
 
     forecaster = forecast.fit_composed(
@@ -187,38 +192,4 @@ def fit(view: PrePostView, cfg: HscConfig) -> HscFit:
         forecast_component=forecast_component,
         forecaster=forecaster,
         solution=solution,
-    )
-
-
-@dataclass(frozen=True)
-class EndpointReport:
-    """Weight drift between the exact endpoints and their nearby interior fits."""
-
-    rhos: tuple
-    weights: np.ndarray  # one row per rho, same order as ``rhos``
-    drift_at_zero: float
-    drift_at_one: float
-
-    @property
-    def passed(self) -> bool:
-        return self.drift_at_zero < 1e-3 and self.drift_at_one < 1e-3
-
-
-def endpoint_check(view: PrePostView, q: int, zeta: float) -> EndpointReport:
-    """Fit at rho in {0, 1e-6, 1-1e-6, 1} and report the weight drift.
-
-    The endpoint branches use dedicated formulas; this confirms they agree
-    with the interior path instead of drifting away from it.
-    """
-    rhos = (0.0, 1e-6, 1.0 - 1e-6, 1.0)
-    weights = []
-    for rho in rhos:
-        cfg = HscConfig(rho=rho, q=q, rule_kind="last_constant", zeta=zeta)
-        weights.append(fit(view, cfg).weights)
-    stacked = np.stack(weights)
-    return EndpointReport(
-        rhos=rhos,
-        weights=stacked,
-        drift_at_zero=float(np.max(np.abs(stacked[0] - stacked[1]))),
-        drift_at_one=float(np.max(np.abs(stacked[3] - stacked[2]))),
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import forecast, hsc, qp, spectral, tuning
+from . import baselines, forecast, hsc, qp, spectral, tuning
 from .decomp import LatentPanel
 from .panel import Panel
 
@@ -272,8 +272,6 @@ def parse_method(token: str) -> tuple[str, int, str]:
     ``hsc:<q>:<rule>`` (the smoothing level itself is cross-validated, so
     it is not part of the token).
     """
-    from . import baselines  # deferred: baselines imports are heavier
-
     if token in baselines.METHODS:
         return token, 0, ""
     parts = token.split(":")
@@ -304,16 +302,21 @@ def _run_one_method(view, family: str, q: int, rule: str, plan) -> tuple:
         result = tuning.cross_validate(view.y_pre, view.x_pre, plan)
         cfg = hsc.HscConfig(rho=result.best_rho, q=q, rule_kind=rule)
         return hsc.fit(view, cfg).counterfactual, result.best_rho
-    from . import baselines
+    return baselines.fit(family, view).counterfactual, np.nan
 
-    fitter = {
-        "sc": baselines.fit_sc,
-        "sc_int": baselines.fit_sc_int,
-        "sc_int_trend": lambda v: baselines.fit_sc_int(v, with_trend=True),
-        "diff_sc": baselines.fit_diff_sc,
-        "sdid": baselines.fit_sdid,
-    }[family]
-    return fitter(view).counterfactual, np.nan
+
+def map_replications(one_rep, reps: int, threads: int) -> list:
+    """``[one_rep(rep) for rep in 1..reps]``, on ``threads`` worker threads.
+
+    Results come back in replication order, and every replication draws
+    from its own keyed streams, so they do not depend on ``threads``.  The
+    work holds the GIL, so one thread is usually fastest.
+    """
+    rep_ids = range(1, reps + 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(one_rep, rep_ids))
+    return [one_rep(rep) for rep in rep_ids]
 
 
 @dataclass(frozen=True)
@@ -421,12 +424,7 @@ def run_study(
             rhos[m] = rho_hat
         return errs, rhos, fails
 
-    rep_ids = range(1, reps + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_rep, rep_ids))
-    else:
-        results = [one_rep(rep) for rep in rep_ids]
+    results = map_replications(one_rep, reps, threads)
 
     errors = {}
     rho_hat_samples = {}

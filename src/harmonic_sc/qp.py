@@ -3,11 +3,12 @@
 Every weight vector in this package — the estimator's donor weights, oracle
 weights on latent structure, and the level-matching baselines — solves
 
-    min_{w in simplex}  ||C (y - X w)||^2 + ridge * ||w||^2
+    min_{w in simplex}  ||y - X w||^2 + ridge * ||w||^2
 
-for some square-root factor C of a PSD metric.  :func:`build` reduces that
-to coefficient form (gram, linear, offset) once, so callers can solve many
-programs against the same design cheaply.
+once its metric has been absorbed into ``y`` and ``X`` (the estimator
+rescales their eigen-coordinates, the baselines residualize them).
+:func:`build` reduces that to coefficient form (gram, linear, offset), the
+one place a weight program is assembled.
 
 :func:`solve` is polish-first.  It opens with an active-set step in the
 manner of Lawson & Hanson (1974, ch. 23): a direct KKT solve on the
@@ -101,9 +102,8 @@ class QPSolution:
     kkt_residual: float
 
 
-def build(metric_sqrt: np.ndarray, y: np.ndarray, x: np.ndarray, ridge: float) -> SimplexQP:
-    """Assemble the QP for ``||metric_sqrt (y - x w)||^2 + ridge ||w||^2``."""
-    c = np.asarray(metric_sqrt, dtype=float)
+def build(y: np.ndarray, x: np.ndarray, ridge: float) -> SimplexQP:
+    """Assemble the QP for ``||y - x w||^2 + ridge ||w||^2``."""
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if y.ndim != 1 or x.ndim != 2:
@@ -112,17 +112,11 @@ def build(metric_sqrt: np.ndarray, y: np.ndarray, x: np.ndarray, ridge: float) -
         raise ValueError(
             f"x has {x.shape[0]} rows but y has length {y.shape[0]}"
         )
-    if c.shape[1] != y.shape[0]:
-        raise ValueError(
-            f"metric_sqrt has {c.shape[1]} columns but series length is {y.shape[0]}"
-        )
-    cy = c @ y
-    cx = c @ x
-    gram = cx.T @ cx
+    gram = x.T @ x
     return SimplexQP(
         gram=(gram + gram.T) / 2.0,
-        linear=-(cx.T @ cy),
-        offset=float(cy @ cy),
+        linear=-(x.T @ y),
+        offset=float(y @ y),
         ridge=float(ridge),
     )
 

@@ -219,19 +219,6 @@ def smoother_apply(metric: RhoMetric, r: np.ndarray) -> np.ndarray:
     return v @ (metric.shrink_gains * (v.T @ np.asarray(r, dtype=float)))
 
 
-def smoother_apply_direct(metric: RhoMetric, r: np.ndarray) -> np.ndarray:
-    """Cross-check path: dense solve of ``(I + lam*K) x = r``.
-
-    Valid for rho in [0, 1); rho=1 has no finite lam and must go through
-    :func:`smoother_apply`.
-    """
-    if metric.rho == 1.0:
-        raise ValueError("direct solve undefined at rho=1 (lam is infinite)")
-    n = metric.basis.n
-    k = penalty_matrix(n, metric.basis.q)
-    return np.linalg.solve(np.eye(n) + metric.lam * k, np.asarray(r, dtype=float))
-
-
 def metric_apply(metric: RhoMetric, r: np.ndarray) -> np.ndarray:
     """Apply the matching metric: ``W r = V diag(w) V' r``."""
     v = metric.basis.eigenvectors
@@ -252,10 +239,3 @@ def sqrt_factor(metric: RhoMetric) -> np.ndarray:
     """
     root = np.sqrt(metric.match_gains)
     return root[:, None] * metric.basis.eigenvectors.T
-
-
-def sqrt_transform(metric: RhoMetric) -> np.ndarray:
-    """Symmetric square root ``W^{1/2} = V diag(sqrt(w)) V'``."""
-    v = metric.basis.eigenvectors
-    c = v @ sqrt_factor(metric)
-    return (c + c.T) / 2.0

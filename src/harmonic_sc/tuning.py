@@ -7,7 +7,9 @@ fold refits everything — donor weights, the ridge strength when it is
 data-driven, and the forecast rule's coefficients — on its own training
 window, and only pre-treatment data ever enters: the API takes the
 pre-period arrays alone, so post-treatment outcomes are not merely ignored
-but structurally absent.
+but structurally absent.  Donor weights depend on (q, fold, rho) but not on
+the forecast rule, so each such program is solved once and its weights and
+smooth component are shared by every rule of that q.
 
 Ties in the CV objective break toward larger rho (the candidate that leans
 hardest on donor matching and least on the forecaster); across candidate
@@ -64,14 +66,6 @@ def rolling_origins(t0: int, h: int, folds: int) -> list[int]:
             f"the largest feasible fold count is {max(feasible, 0)}"
         )
     return [t0 - h - folds + ell for ell in range(1, folds + 1)]
-
-
-def folds_for_validation_window(h: int, window: int) -> int:
-    """Largest fold count whose validation points all fall in the last
-    ``window`` pre-treatment periods (an optional cap on the fold count)."""
-    if window < h:
-        raise ValueError(f"window {window} cannot hold a horizon-{h} forecast")
-    return window - h + 1
 
 
 @dataclass(frozen=True)
@@ -146,48 +140,10 @@ class CvResult:
     excluded: tuple
 
 
-def _fold_errors(
-    y_pre: np.ndarray,
-    x_pre: np.ndarray,
-    k: int,
-    h: int,
-    q: int,
-    rule_kind: str,
-    rho_grid: np.ndarray,
-    zeta_policy,
-    ar_order: int,
-    hamilton_lags: int,
-) -> np.ndarray:
-    """Squared validation errors (h x grid) for one training length ``k``."""
-    y_tr, x_tr = y_pre[:k], x_pre[:k]
-    y_val, x_val = y_pre[k : k + h], x_pre[k : k + h]
-    zeta = (
-        hsc.auto_zeta(x_tr, h) if zeta_policy == "auto" else float(zeta_policy)
-    )
-    ridge = zeta * zeta * k
-    basis = spectral.spectral_basis(k, q)
-    v = basis.eigenvectors
-    u_y = v.T @ y_tr
-    u_x = v.T @ x_tr
-
-    out = np.empty((h, rho_grid.size))
-    weights = None
-    for gi, rho in enumerate(rho_grid):
-        metric = spectral.rho_metric(basis, rho)
-        # Neighbouring grid points share (or nearly share) the optimal face,
-        # so each solve starts from the previous one's weights.
-        sol = hsc._profiled_weights(
-            u_y, u_x, metric.match_gains, ridge, init=weights
-        )
-        weights = sol.weights
-        u_r = u_y - u_x @ weights
-        e_tr = v @ (metric.shrink_gains * u_r)
-        fc = forecast.compose(
-            rule_kind, q, basis, e_tr, h, order=ar_order, lags=hamilton_lags
-        )
-        pred = x_val @ weights + fc
-        out[:, gi] = (y_val - pred) ** 2
-    return out
+#: Failures that exclude a candidate from CV instead of aborting the run.
+_CV_FAILURES = (
+    ValueError, forecast.ForecastError, qp.SolverStall, spectral.EigenSolverError
+)
 
 
 def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResult:
@@ -218,18 +174,42 @@ def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResu
     n_cand = len(plan.candidates)
 
     per_fold = np.full((n_cand, plan.folds, plan.h, grid.size), np.nan)
-    excluded = []
-    for ci, (q, rule_kind) in enumerate(plan.candidates):
-        try:
-            for li, k in enumerate(origins):
-                per_fold[ci, li] = _fold_errors(
-                    y_pre, x_pre, k, plan.h, q, rule_kind, grid,
-                    plan.zeta, plan.ar_order, plan.hamilton_lags,
+    failed = {}  # candidate index -> (training length, reason) of its first failure
+    for q in dict.fromkeys(q for q, _ in plan.candidates):
+        members = [ci for ci, cand in enumerate(plan.candidates) if cand[0] == q]
+        for li, k in enumerate(origins):
+            live = [ci for ci in members if ci not in failed]
+            if not live:
+                break
+            y_tr, x_tr = y_pre[:k], x_pre[:k]
+            y_val, x_val = y_pre[k : k + plan.h], x_pre[k : k + plan.h]
+            try:
+                zeta = (
+                    hsc.auto_zeta(x_tr, plan.h)
+                    if plan.zeta == "auto"
+                    else float(plan.zeta)
                 )
-        except (ValueError, forecast.ForecastError, qp.SolverStall,
-                spectral.EigenSolverError) as exc:
-            per_fold[ci] = np.nan
-            excluded.append(((q, rule_kind), k, str(exc)))
+                basis = spectral.spectral_basis(k, q)
+                path = list(hsc.fit_path(y_tr, x_tr, basis, grid, zeta * zeta * k))
+            except _CV_FAILURES as exc:
+                # The weights failed: every rule of this q loses the fold.
+                for ci in live:
+                    failed[ci] = (k, str(exc))
+                continue
+            for ci in live:
+                rule_kind = plan.candidates[ci][1]
+                try:
+                    for gi, (sol, _, e_tr) in enumerate(path):
+                        fc = forecast.compose(
+                            rule_kind, q, basis, e_tr, plan.h,
+                            order=plan.ar_order, lags=plan.hamilton_lags,
+                        )
+                        pred = x_val @ sol.weights + fc
+                        per_fold[ci, li, :, gi] = (y_val - pred) ** 2
+                except _CV_FAILURES as exc:
+                    failed[ci] = (k, str(exc))
+    excluded = [(plan.candidates[ci], *failed[ci]) for ci in sorted(failed)]
+    per_fold[sorted(failed)] = np.nan
 
     table = per_fold.mean(axis=(1, 2))  # NaN rows stay NaN
 

@@ -165,7 +165,7 @@ def test_gate_1_endpoint_equivalences():
             rough = hsc.fit(view, HscConfig(rho=0.0, q=q, zeta=zeta)).weights
             dy = np.diff(view.y_pre, n=q)
             dx = np.diff(view.x_pre, n=q, axis=0)
-            problem = qp.build(np.eye(dy.size), dy, dx, ridge=zeta * zeta * view.t0)
+            problem = qp.build(dy, dx, ridge=zeta * zeta * view.t0)
             ref = qp.solve(problem).weights
             worst = max(worst, float(np.max(np.abs(rough - ref))))
 
@@ -444,7 +444,7 @@ def test_gate_9_qp_oracle_equivalence():
         else:
             ridge = 0.25 if i % 2 == 0 else 1.0
         w_ref, f_ref = dense_simplex_search(y, x, ridge)
-        sol = qp.solve(qp.build(np.eye(25), y, x, ridge))
+        sol = qp.solve(qp.build(y, x, ridge))
         worst_w = max(worst_w, float(np.max(np.abs(sol.weights - w_ref))))
         worst_f = max(worst_f, abs(sol.objective - f_ref))
     assert worst_w < 2e-4

@@ -140,7 +140,7 @@ def test_diff_sc_direct_formula_oracle():
 
     dy = view.y_pre[1:] - view.y_pre[:-1]
     dx = view.x_pre[1:] - view.x_pre[:-1]
-    sol = qp.solve(qp.build(np.eye(len(dy)), dy, dx, ridge))
+    sol = qp.solve(qp.build(dy, dx, ridge))
     assert_allclose(fit.weights, sol.weights, atol=1e-10)
     anchor = view.y_pre[-1] - view.x_pre[-1] @ sol.weights
     assert_allclose(fit.counterfactual, view.x_post @ sol.weights + anchor)

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from harmonic_sc import cli, hsc, load_csv, split
+from harmonic_sc import baselines, cli, hsc, load_csv, mc, split
 
 
 def write_panel_csv(path, t_total=14, noise=0.05, seed=0):
@@ -228,6 +228,36 @@ def test_simulate_is_seed_sensitive(tmp_path):
     assert cli.main(simulate_args(out_a, threads=1, seed="7")) == 0
     assert cli.main(simulate_args(out_b, threads=1, seed="8")) == 0
     assert (out_a / "errors.csv").read_bytes() != (out_b / "errors.csv").read_bytes()
+
+
+def test_threads_below_one_exit(tmp_path, capsys):
+    assert cli.main(simulate_args(tmp_path / "t0", threads=0)) == 1
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "t0" / "errors.csv").exists()
+
+
+def test_cli_and_study_share_the_baseline_registry(tmp_path, monkeypatch):
+    # Both front ends look the fitter up on the baselines module at call
+    # time, so a patched attribute is what runs.
+    calls = []
+    real_sdid = baselines.fit_sdid
+
+    def patched(view, *args, **kwargs):
+        calls.append(view.t0)
+        return real_sdid(view, *args, **kwargs)
+
+    monkeypatch.setattr(baselines, "fit_sdid", patched)
+    panel_csv = write_panel_csv(tmp_path / "panel.csv")
+    code = cli.main(
+        ["estimate", "--panel", str(panel_csv), "--treated", "A", "--t0", "10",
+         "--method", "sdid", "--out", str(tmp_path / "est")]
+    )
+    assert code == 0
+    assert calls == [10]
+    cfg = mc.SimpleDgpConfig(kappa=2.0, master_seed=3, t0=16, t_post=2, n0=3)
+    table = mc.run_study("simple", cfg, ("sdid",), reps=2)
+    assert calls == [10, 16, 16]
+    assert table.failures["sdid"] == 0
 
 
 def test_simulate_unknown_method_exit(tmp_path, capsys):

@@ -41,10 +41,18 @@ def test_null_continuation_negative_slope():
 
 # ---------------------------------------------------------------- fitting
 
+def fit_and_forecast(rule_kind, q, residual_component, horizon, order=4, lags=4):
+    """Fit a rule on the remainder series and forecast in one shot."""
+    rule = forecast.fit_rule(
+        rule_kind, q, residual_component, horizon, order=order, lags=lags
+    )
+    return forecast.apply_rule(rule, residual_component, horizon)
+
+
 def test_last_constant_repeats_final_value():
     z = np.array([0.4, -1.0, 2.5])
     np.testing.assert_array_equal(
-        forecast.fit_and_forecast("last_constant", 1, z, 3), [2.5, 2.5, 2.5]
+        fit_and_forecast("last_constant", 1, z, 3), [2.5, 2.5, 2.5]
     )
 
 
@@ -59,7 +67,7 @@ def test_arima110_exact_recursion():
     z = make_arima_series(0.5, 8)
     assert z[-1] == pytest.approx(0.0)
     assert z[-1] - z[-2] == pytest.approx(1.0)
-    out = forecast.fit_and_forecast("arima110", 1, z, 3)
+    out = fit_and_forecast("arima110", 1, z, 3)
     # Hand recursion: z_{T+h} = z_{T+h-1} + phi^h * dz_T with phi = 0.5.
     np.testing.assert_allclose(out, [0.5, 0.75, 0.875], atol=1e-10)
 
@@ -72,7 +80,7 @@ def test_arima110_recovers_difference_coefficient():
 
 def test_arima110_flat_differences_degenerate_to_constant():
     z = np.array([5.0, 5.0, 5.0, 7.0])
-    out = forecast.fit_and_forecast("arima110", 1, z, 4)
+    out = fit_and_forecast("arima110", 1, z, 4)
     np.testing.assert_array_equal(out, [7.0, 7.0, 7.0, 7.0])
 
 
@@ -84,7 +92,7 @@ def test_arima110_warns_on_explosive_coefficient():
 
 def test_ar_constant_series_recovers_fixed_point():
     z = np.full(12, 3.7)
-    out = forecast.fit_and_forecast("ar", 1, z, 4)
+    out = fit_and_forecast("ar", 1, z, 4)
     np.testing.assert_allclose(out, 3.7, atol=1e-8)
 
 
@@ -98,10 +106,10 @@ def test_ar_exact_recursion_continued():
     for _ in range(4):
         cur = 0.3 + 0.6 * cur
         expected.append(cur)
-    out = forecast.fit_and_forecast("ar", 1, z, 4, order=1)
+    out = fit_and_forecast("ar", 1, z, 4, order=1)
     np.testing.assert_allclose(out, expected, atol=1e-8)
     # Higher orders see a collinear design but must still continue exactly.
-    out4 = forecast.fit_and_forecast("ar", 1, z, 4, order=4)
+    out4 = fit_and_forecast("ar", 1, z, 4, order=4)
     np.testing.assert_allclose(out4, expected, atol=1e-6)
 
 
@@ -113,15 +121,15 @@ def test_ar_warns_on_nonstationary_fit():
 
 def test_hamilton_exact_on_linear_series():
     z = 2.0 * np.arange(20, dtype=float)
-    out = forecast.fit_and_forecast("hamilton", 1, z, 3)
+    out = fit_and_forecast("hamilton", 1, z, 3)
     np.testing.assert_allclose(out, [40.0, 42.0, 44.0], atol=1e-8)
 
 
 def test_hamilton_one_lag_one_step_equals_ar1():
     rng = np.random.default_rng(17)
     z = rng.normal(size=40).cumsum()
-    ham = forecast.fit_and_forecast("hamilton", 1, z, 1, lags=1)
-    ar1 = forecast.fit_and_forecast("ar", 1, z, 1, order=1)
+    ham = fit_and_forecast("hamilton", 1, z, 1, lags=1)
+    ar1 = fit_and_forecast("ar", 1, z, 1, order=1)
     assert ham[0] == pytest.approx(ar1[0], abs=1e-8)
 
 
@@ -147,7 +155,7 @@ def test_short_series_errors():
 
 def test_unknown_rule_token():
     with pytest.raises(forecast.ForecastError, match="unknown forecast rule"):
-        forecast.fit_and_forecast("ets", 1, np.zeros(10), 1)
+        fit_and_forecast("ets", 1, np.zeros(10), 1)
 
 
 def test_hamilton_horizon_overrun():
@@ -158,7 +166,7 @@ def test_hamilton_horizon_overrun():
 
 def test_bad_horizon():
     with pytest.raises(forecast.ForecastError, match="horizon"):
-        forecast.fit_and_forecast("last_constant", 1, np.zeros(5), 0)
+        fit_and_forecast("last_constant", 1, np.zeros(5), 0)
 
 
 # ------------------------------------------------------------- composition

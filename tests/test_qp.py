@@ -11,7 +11,7 @@ def random_instance(seed, n_obs=12, n_donors=4, ridge=0.0):
     c = rng.normal(size=(n_obs, n_obs))
     y = rng.normal(size=n_obs)
     x = rng.normal(size=(n_obs, n_donors))
-    return qp.build(c, y, x, ridge)
+    return qp.build(c @ y, c @ x, ridge)
 
 
 def brute_force_two_donors(problem, step=1e-4):
@@ -46,7 +46,7 @@ def test_build_matches_direct_evaluation():
     c = rng.normal(size=(10, 12))  # rectangular factors are allowed
     y = rng.normal(size=12)
     x = rng.normal(size=(12, 5))
-    problem = qp.build(c, y, x, ridge=0.7)
+    problem = qp.build(c @ y, c @ x, ridge=0.7)
     for _ in range(5):
         w = rng.dirichlet(np.ones(5))
         direct = np.sum((c @ (y - x @ w)) ** 2) + 0.7 * np.sum(w * w)
@@ -57,7 +57,7 @@ def test_build_identity_metric_is_least_squares():
     rng = np.random.default_rng(5)
     y = rng.normal(size=8)
     x = rng.normal(size=(8, 3))
-    problem = qp.build(np.eye(8), y, x, ridge=0.0)
+    problem = qp.build(y, x, ridge=0.0)
     w = np.array([0.2, 0.5, 0.3])
     assert problem.eval(w) == pytest.approx(np.sum((y - x @ w) ** 2), rel=1e-10)
 
@@ -67,7 +67,7 @@ def test_build_vertex_objective():
     c = rng.normal(size=(8, 8))
     y = rng.normal(size=8)
     x = rng.normal(size=(8, 4))
-    problem = qp.build(c, y, x, ridge=0.3)
+    problem = qp.build(c @ y, c @ x, ridge=0.3)
     for j in range(4):
         e = np.zeros(4)
         e[j] = 1.0
@@ -77,9 +77,7 @@ def test_build_vertex_objective():
 
 def test_build_dimension_mismatch():
     with pytest.raises(ValueError, match="rows"):
-        qp.build(np.eye(5), np.zeros(5), np.zeros((4, 2)), 0.0)
-    with pytest.raises(ValueError, match="columns"):
-        qp.build(np.eye(4), np.zeros(5), np.zeros((5, 2)), 0.0)
+        qp.build(np.zeros(5), np.zeros((4, 2)), 0.0)
 
 
 def test_simplexqp_validation():
@@ -123,7 +121,7 @@ def test_exact_donor_match_recovers_vertex():
     v2 = np.array([0.0, 0.0, 1.0, -1.0, 0.0, 0.0])
     v3 = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0])
     x = np.stack([v1, v2, v3], axis=1)
-    problem = qp.build(np.eye(6), v3, x, ridge=0.0)
+    problem = qp.build(v3, x, ridge=0.0)
     sol = qp.solve(problem)
     np.testing.assert_allclose(sol.weights, [0.0, 0.0, 1.0], atol=1e-8)
     assert sol.objective == pytest.approx(0.0, abs=1e-10)
@@ -168,8 +166,8 @@ def test_donor_permutation_equivariance():
     y = rng.normal(size=15)
     x = rng.normal(size=(15, 6))
     perm = rng.permutation(6)
-    sol = qp.solve(qp.build(c, y, x, ridge=0.4))
-    sol_perm = qp.solve(qp.build(c, y, x[:, perm], ridge=0.4))
+    sol = qp.solve(qp.build(c @ y, c @ x, ridge=0.4))
+    sol_perm = qp.solve(qp.build(c @ y, c @ x[:, perm], ridge=0.4))
     np.testing.assert_allclose(sol_perm.weights, sol.weights[perm], atol=1e-7)
 
 
@@ -191,7 +189,8 @@ def test_strict_convexity_start_independence():
 
     def program(rho):
         root = np.sqrt(spectral.rho_metric(basis, rho).match_gains)
-        return qp.build(root[:, None] * v.T, y, x, ridge=0.5)
+        c = root[:, None] * v.T
+        return qp.build(c @ y, c @ x, ridge=0.5)
 
     neighbour = qp.solve(program(0.45)).weights
     cold = qp.solve(program(0.5))

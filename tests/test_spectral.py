@@ -309,6 +309,18 @@ def test_smoother_endpoints():
     np.testing.assert_allclose(smoothed, np.full(30, r.mean()), atol=1e-10)
 
 
+def smoother_apply_direct(metric, r):
+    """Oracle for the smoother: dense solve of ``(I + lam*K) x = r``.
+
+    Valid for rho in [0, 1); rho=1 has no finite lam.
+    """
+    if metric.rho == 1.0:
+        raise ValueError("direct solve undefined at rho=1 (lam is infinite)")
+    n = metric.basis.n
+    k = spectral.penalty_matrix(n, metric.basis.q)
+    return np.linalg.solve(np.eye(n) + metric.lam * k, np.asarray(r, dtype=float))
+
+
 @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("q", [1, 2])
 def test_smoother_matches_direct_solve(rho, q):
@@ -317,7 +329,7 @@ def test_smoother_matches_direct_solve(rho, q):
     m = spectral.rho_metric(spectral.spectral_basis(35, q), rho)
     np.testing.assert_allclose(
         spectral.smoother_apply(m, r),
-        spectral.smoother_apply_direct(m, r),
+        smoother_apply_direct(m, r),
         atol=1e-8,
     )
 
@@ -325,7 +337,7 @@ def test_smoother_matches_direct_solve(rho, q):
 def test_direct_solve_refuses_rho_one():
     m = spectral.rho_metric(spectral.spectral_basis(10, 1), 1.0)
     with pytest.raises(ValueError, match="rho=1"):
-        spectral.smoother_apply_direct(m, np.zeros(10))
+        smoother_apply_direct(m, np.zeros(10))
 
 
 def test_quadform_rho0_is_squared_difference_norm():
@@ -375,11 +387,18 @@ def test_metric_apply_consistent_with_quadform():
 
 # ------------------------------------------------------------ square root
 
+def sqrt_transform(metric):
+    """Oracle square root: the symmetric ``W^{1/2} = V diag(sqrt(w)) V'``."""
+    v = metric.basis.eigenvectors
+    c = v @ spectral.sqrt_factor(metric)
+    return (c + c.T) / 2.0
+
+
 def test_sqrt_transform_squares_to_metric():
     basis = spectral.spectral_basis(20, 1)
     for rho in (0.0, 0.5, 1.0):
         m = spectral.rho_metric(basis, rho)
-        c = spectral.sqrt_transform(m)
+        c = sqrt_transform(m)
         np.testing.assert_array_equal(c, c.T)
         v = basis.eigenvectors
         w_mat = v @ (m.match_gains[:, None] * v.T)
@@ -399,7 +418,7 @@ def test_sqrt_transform_norm_matches_quadform():
     rng = np.random.default_rng(21)
     r = rng.normal(size=20)
     m = spectral.rho_metric(spectral.spectral_basis(20, 1), 0.7)
-    c = spectral.sqrt_transform(m)
+    c = sqrt_transform(m)
     assert np.sum((c @ r) ** 2) == pytest.approx(
         spectral.metric_quadform(m, r), rel=1e-8
     )
@@ -410,14 +429,14 @@ def test_sqrt_transform_rho0_q1_difference_norm():
     r = rng.normal(size=20)
     m = spectral.rho_metric(spectral.spectral_basis(20, 1), 0.0)
     d = spectral.difference_operator(20, 1)
-    assert np.sum((spectral.sqrt_transform(m) @ r) ** 2) == pytest.approx(
+    assert np.sum((sqrt_transform(m) @ r) ** 2) == pytest.approx(
         np.sum((d @ r) ** 2), rel=1e-8
     )
 
 
 def test_sqrt_transform_rho1_is_projector():
     m = spectral.rho_metric(spectral.spectral_basis(20, 1), 1.0)
-    c = spectral.sqrt_transform(m)
+    c = sqrt_transform(m)
     assert np.max(np.abs(c @ c - c)) < 1e-8
     expected = np.eye(20) - np.full((20, 20), 1.0 / 20)
     assert np.max(np.abs(c - expected)) < 1e-8

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from harmonic_sc import hsc, tuning
+from harmonic_sc import hsc, qp, spectral, tuning
 from harmonic_sc.panel import PrePostView
 
 
@@ -43,14 +43,6 @@ def test_origins_validate_arguments():
         tuning.rolling_origins(10, 0, 3)
     with pytest.raises(ValueError, match="fold count"):
         tuning.rolling_origins(10, 1, 0)
-
-
-def test_validation_window_cap():
-    # All validation points inside the last 15 periods, one-step forecasts.
-    assert tuning.folds_for_validation_window(1, 15) == 15
-    assert tuning.folds_for_validation_window(5, 15) == 11
-    with pytest.raises(ValueError, match="cannot hold"):
-        tuning.folds_for_validation_window(5, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +201,74 @@ def test_warm_started_grid_matches_cold_refits():
     ci = int(np.argmin(table.min(axis=1)))
     assert result.best_candidate == plan.candidates[ci]
     assert result.best_rho == grid[np.argmin(table[ci])]
+
+
+SHARED_CANDIDATES = ((1, "last_constant"), (1, "arima110"), (2, "ar"))
+
+
+def shared_plan(candidates=SHARED_CANDIDATES):
+    return tuning.CvPlan(
+        h=2, folds=4, rho_grid=np.linspace(0, 1, 9), candidates=candidates
+    )
+
+
+def counting_solve(monkeypatch):
+    calls = []
+    real_solve = qp.solve
+
+    def solve(problem, *args, **kwargs):
+        calls.append(problem.n)
+        return real_solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(qp, "solve", solve)
+    return calls
+
+
+def test_rules_of_one_q_share_each_weight_solve(monkeypatch):
+    # Weights depend on (q, fold, rho) only: three candidates over two
+    # orders solve folds x grid x 2 programs, and sharing them leaves every
+    # candidate's errors exactly as in a run of that candidate alone.
+    rng = np.random.default_rng(41)
+    y_pre, x_pre, _, _ = random_panel(rng, t0=30, n_donors=8, noise=0.3)
+    plan = shared_plan()
+    calls = counting_solve(monkeypatch)
+    result = tuning.cross_validate(y_pre, x_pre, plan)
+    assert len(calls) == plan.folds * plan.rho_grid.size * 2
+    for ci, cand in enumerate(plan.candidates):
+        alone = tuning.cross_validate(y_pre, x_pre, shared_plan((cand,)))
+        row = result.per_fold_errors[ci]
+        assert alone.per_fold_errors[0].tobytes() == row.tobytes()
+    assert result.excluded == ()
+
+
+def test_weight_stall_excludes_every_rule_of_that_q(monkeypatch):
+    rng = np.random.default_rng(43)
+    y_pre, x_pre, _, _ = random_panel(rng, t0=30, n_donors=8, noise=0.3)
+    plan = shared_plan()
+    stalled_k = tuning.rolling_origins(30, plan.h, plan.folds)[1]
+    current = {}
+    real_basis, real_solve = spectral.spectral_basis, qp.solve
+
+    def basis(n, q):
+        current["nq"] = (n, q)
+        return real_basis(n, q)
+
+    def solve(problem, *args, **kwargs):
+        sol = real_solve(problem, *args, **kwargs)
+        if current["nq"] == (stalled_k, 1):
+            raise qp.SolverStall("forced stall", sol)
+        return sol
+
+    monkeypatch.setattr(spectral, "spectral_basis", basis)
+    monkeypatch.setattr(qp, "solve", solve)
+    result = tuning.cross_validate(y_pre, x_pre, plan)
+    assert result.excluded == (
+        ((1, "last_constant"), stalled_k, "forced stall"),
+        ((1, "arima110"), stalled_k, "forced stall"),
+    )
+    assert np.all(np.isnan(result.table[:2]))
+    assert np.all(np.isfinite(result.table[2]))
+    assert result.best_candidate == (2, "ar")
 
 
 def test_errors_nonnegative_and_table_is_their_mean():
