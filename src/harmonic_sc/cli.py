@@ -221,6 +221,11 @@ def _resolve(ns: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise ValueError("--config file must hold a JSON object of flags")
         for key, value in loaded.items():
+            if not isinstance(value, (str, int, float)):
+                raise ValueError(
+                    f"--config value of {key!r} must be a string, number or "
+                    f"boolean, got {json.dumps(value)}"
+                )
             resolved[key.replace("-", "_")] = value
     resolved.update(explicit)
     resolved["command"] = ns.command

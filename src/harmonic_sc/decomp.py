@@ -178,18 +178,14 @@ def _materialize_map(
     """Linear part and offset of path -> forecast-of-smoothed-path.
 
     The composed forecaster with frozen coefficients is affine, so the whole
-    pipeline is pinned down by its action on the smoother's columns plus its
-    value at zero.  Returns ``(pi, offset)`` with the map being
-    ``r -> pi @ r + offset``.
+    pipeline is pinned down by its action on the smoother's columns, applied
+    as one stack, minus its value at zero.  Returns ``(pi, offset)`` with
+    the map being ``r -> pi @ r + offset``.
     """
     v = metric.basis.eigenvectors
     smoother = (v * metric.shrink_gains) @ v.T
-    n = metric.basis.n
-    offset = forecaster.apply(np.zeros(n), horizon)
-    pi = np.empty((horizon, n))
-    for j in range(n):
-        pi[:, j] = forecaster.apply(smoother[:, j], horizon) - offset
-    return pi, offset
+    offset = forecaster.apply(np.zeros(metric.basis.n), horizon)
+    return forecaster.apply(smoother, horizon) - offset[:, None], offset
 
 
 @dataclass(frozen=True)
@@ -321,10 +317,8 @@ def channels(
     basis = spectral.spectral_basis(latent.t0, q)
     metric = spectral.rho_metric(basis, rho)
     if forecaster is None:
-        forecaster = forecast.ComposedForecaster(
-            rule=forecast.ForecastRule(kind="last_constant", q=q, fitted_params=()),
-            basis=basis,
-        )
+        rule = forecast.fit_rule("last_constant", q, np.zeros(basis.n), latent.t_post)
+        forecaster = forecast.ComposedForecaster(rule=rule, basis=basis)
     parts = _oracle_parts(latent, q, zeta)
     pi, _ = _materialize_map(forecaster, metric, latent.t_post)
     return _channel_report(latent, metric, zeta, parts, pi)

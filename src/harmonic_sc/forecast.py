@@ -13,9 +13,12 @@ ARIMA(1,1,0) on differences, a stationary AR(p), or Hamilton-style direct
 h-step regressions — becomes admissible once composed.
 
 Fitting and application are split: :func:`fit_rule` estimates coefficients
-once and freezes them in a :class:`ForecastRule`; :func:`apply_rule` is then
-an affine map of its input series, which downstream error accounting relies
-on.
+once and freezes them in a :class:`ForecastRule` as an explicit affine
+operator ``matrix @ z[-p:] + offset`` on the last p values of its input
+(for ``ar``, the companion recursion run once on unit inputs; for
+``hamilton``, its coefficient table).  :func:`apply_rule` is then one
+product, on a single path or on a stack of paths, which downstream error
+accounting relies on.
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ class ForecastError(ValueError):
 
 @dataclass(frozen=True)
 class ForecastRule:
-    """A fitted forecast rule; application is affine in the input series.
+    """A fitted forecast rule, frozen as an affine operator.
 
-    ``fitted_params`` layout by kind:
+    The forecast of a path ``z`` is ``matrix @ z[-p:] + offset``, where
+    ``matrix`` has shape ``(horizon, p)`` for the fitted horizon and the
+    ``p`` tail values the rule reads.  ``fitted_params`` layout by kind:
 
     - ``last_constant``: empty tuple.
     - ``arima110``: ``(phi,)`` from the no-intercept difference regression.
@@ -50,43 +55,36 @@ class ForecastRule:
     kind: str
     q: int
     fitted_params: tuple
-
-    @property
-    def order(self) -> int:
-        """Autoregressive order (ar) or lag count (hamilton)."""
-        if self.kind == "ar":
-            return len(self.fitted_params) - 1
-        if self.kind == "hamilton":
-            return len(self.fitted_params[0]) - 1
-        raise AttributeError(f"rule kind {self.kind!r} has no lag order")
+    matrix: np.ndarray
+    offset: np.ndarray
 
 
 def null_continuation(x: np.ndarray, q: int, horizon: int) -> np.ndarray:
     """Continue a null-space path: constant level (q=1) or straight line (q=2).
 
-    The input must lie in the penalty null space (verified to 1e-6); the
-    continuation evaluates the same polynomial at the next ``horizon``
-    periods: ``x[-1]`` repeated for q=1, ``x[-1] + h*(x[-1]-x[-2])`` for q=2.
+    ``x`` is one path of shape (n,) or a stack of paths of shape (n, m), and
+    each path must lie in the penalty null space (verified to 1e-6 of its
+    scale).  The continuation evaluates the same polynomial at the next
+    ``horizon`` periods: ``x[-1]`` repeated for q=1,
+    ``x[-1] + h*(x[-1]-x[-2])`` for q=2.
     """
     q = _check_order(q)
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < q + 1:
-        raise ForecastError(f"null path must be a vector of length > {q}")
+    if x.ndim not in (1, 2) or x.shape[0] < q + 1:
+        raise ForecastError(f"null path must have length > {q}")
     if horizon < 1:
         raise ForecastError(f"horizon must be positive, got {horizon}")
-    slack = float(np.max(np.abs(np.diff(x, n=q))))
-    if slack > 1e-6 * (1.0 + float(np.max(np.abs(x)))):
+    slack = np.abs(np.diff(x, n=q, axis=0)).max(axis=0)
+    if (slack > 1e-6 * (1.0 + np.abs(x).max(axis=0))).any():
         raise ForecastError(
             f"input is not in the order-{q} null space "
-            f"(difference residual {slack:.3e})"
+            f"(difference residual {slack.max():.3e})"
         )
-    h = np.arange(1, horizon + 1, dtype=float)
-    if q == 1:
-        return np.full(horizon, x[-1])
-    return x[-1] + h * (x[-1] - x[-2])
+    slope = (q - 1) * (x[-1] - x[-2])  # a constant level has no slope
+    return x[-1] + np.multiply.outer(np.arange(1.0, horizon + 1), slope)
 
 
-def _fit_arima110(z: np.ndarray) -> tuple:
+def _fit_arima110(z: np.ndarray, horizon: int) -> tuple:
     dz = np.diff(z)
     prev, curr = dz[:-1], dz[1:]
     denom = float(prev @ prev)
@@ -101,7 +99,13 @@ def _fit_arima110(z: np.ndarray) -> tuple:
             RuntimeWarning,
             stacklevel=3,
         )
-    return (phi,)
+    # z[-1] + g_h (z[-1] - z[-2]) with g_h = phi + ... + phi^h, as weights
+    # on z[-2:].
+    matrix = np.empty((horizon, 2))
+    g = (phi ** np.arange(1, horizon + 1)).cumsum()
+    matrix[:, 0] = -g
+    matrix[:, 1] = 1.0 + g
+    return (phi,), matrix, np.zeros(horizon)
 
 
 def _solve_regression(design: np.ndarray, target: np.ndarray, kind: str) -> np.ndarray:
@@ -111,7 +115,7 @@ def _solve_regression(design: np.ndarray, target: np.ndarray, kind: str) -> np.n
     return coef
 
 
-def _fit_ar(z: np.ndarray, order: int) -> tuple:
+def _fit_ar(z: np.ndarray, order: int, horizon: int) -> tuple:
     n = z.size
     rows = n - order
     design = np.ones((rows, order + 1))
@@ -127,7 +131,17 @@ def _fit_ar(z: np.ndarray, order: int) -> tuple:
             RuntimeWarning,
             stacklevel=3,
         )
-    return tuple(coef)
+    # Companion recursion on the unit functionals of (z[-p:], 1): the first
+    # p rows are the tail values themselves, row p + h - 1 holds the
+    # weights of the h-step forecast on the tail values and the constant.
+    rows = np.zeros((order + horizon, order + 1))
+    rows[:order, :order] = np.eye(order)
+    lag_coefs = coef[:0:-1]  # a_p, ..., a_1 against chronological rows
+    intercept = float(coef[0])
+    for t in range(order, order + horizon):
+        np.matmul(lag_coefs, rows[t - order : t], out=rows[t])
+        rows[t, order] += intercept
+    return tuple(coef), rows[order:, :order], rows[order:, order]
 
 
 def _fit_hamilton(z: np.ndarray, horizon: int, lags: int) -> tuple:
@@ -140,7 +154,8 @@ def _fit_hamilton(z: np.ndarray, horizon: int, lags: int) -> tuple:
             design[:, lag + 1] = z[lags - 1 - lag : n - h - lag]
         target = z[lags - 1 + h :]
         all_coefs.append(tuple(_solve_regression(design, target, "hamilton")))
-    return tuple(all_coefs)
+    table = np.array(all_coefs)
+    return tuple(all_coefs), table[:, :0:-1], table[:, 0]
 
 
 def fit_rule(
@@ -151,11 +166,11 @@ def fit_rule(
     order: int = 4,
     lags: int = 4,
 ) -> ForecastRule:
-    """Estimate a forecast rule on the remainder series ``z``.
+    """Estimate a forecast rule on ``z`` and freeze it for ``horizon`` steps.
 
-    ``horizon`` matters only for ``hamilton``, which fits one direct
-    regression per step ahead.  ``order`` is the ar lag order; ``lags`` the
-    hamilton predictor count.
+    ``hamilton`` fits one direct regression per step ahead; the other kinds
+    fit one regression and iterate it.  ``order`` is the ar lag order;
+    ``lags`` the hamilton predictor count.
     """
     if rule_kind not in RULE_KINDS:
         raise ForecastError(
@@ -173,10 +188,11 @@ def fit_rule(
         if n < 1:
             raise ForecastError("last_constant needs at least 1 observation")
         params: tuple = ()
+        matrix, offset = np.ones((horizon, 1)), np.zeros(horizon)
     elif rule_kind == "arima110":
         if n < 3:
             raise ForecastError(f"arima110 needs at least 3 observations, got {n}")
-        params = _fit_arima110(z)
+        params, matrix, offset = _fit_arima110(z, horizon)
     elif rule_kind == "ar":
         if order < 1:
             raise ForecastError(f"ar order must be positive, got {order}")
@@ -184,7 +200,7 @@ def fit_rule(
             raise ForecastError(
                 f"ar({order}) needs at least {order + 2} observations, got {n}"
             )
-        params = _fit_ar(z, order)
+        params, matrix, offset = _fit_ar(z, order, horizon)
     else:
         if lags < 1:
             raise ForecastError(f"hamilton lag count must be positive, got {lags}")
@@ -193,71 +209,31 @@ def fit_rule(
                 f"hamilton with horizon {horizon} needs at least "
                 f"{horizon + lags + 1} observations, got {n}"
             )
-        params = _fit_hamilton(z, horizon, lags)
-    return ForecastRule(kind=rule_kind, q=q, fitted_params=params)
+        params, matrix, offset = _fit_hamilton(z, horizon, lags)
+    return ForecastRule(
+        kind=rule_kind, q=q, fitted_params=params, matrix=matrix, offset=offset
+    )
 
 
 def apply_rule(rule: ForecastRule, z: np.ndarray, horizon: int) -> np.ndarray:
-    """Forecast ``horizon`` steps from ``z`` with frozen coefficients.
+    """Forecast ``horizon`` steps from ``z``: ``matrix @ z[-p:] + offset``.
 
-    Affine in ``z`` by construction, so superposition (up to the constant
-    term) holds exactly for any fitted rule.
+    ``z`` is one path of shape (n,) or a stack of paths of shape (n, m),
+    forecast column by column.  Affine in ``z`` by construction, so
+    superposition (up to the constant term) holds exactly for any fitted
+    rule.
     """
     z = np.asarray(z, dtype=float)
-    n = z.size
-    if horizon < 1:
-        raise ForecastError(f"horizon must be positive, got {horizon}")
-
-    if rule.kind == "last_constant":
-        if n < 1:
-            raise ForecastError("last_constant needs at least 1 observation")
-        return np.full(horizon, z[-1])
-
-    if rule.kind == "arima110":
-        if n < 2:
-            raise ForecastError("arima110 application needs at least 2 observations")
-        (phi,) = rule.fitted_params
-        level = z[-1]
-        step = z[-1] - z[-2]
-        out = np.empty(horizon)
-        for h in range(horizon):
-            step *= phi
-            level += step
-            out[h] = level
-        return out
-
-    if rule.kind == "ar":
-        coef = np.asarray(rule.fitted_params)
-        p = coef.size - 1
-        if n < p:
-            raise ForecastError(f"ar({p}) application needs at least {p} observations")
-        history = list(z[n - p :])
-        out = np.empty(horizon)
-        for h in range(horizon):
-            nxt = coef[0] + float(coef[1:] @ np.asarray(history[::-1]))
-            out[h] = nxt
-            history.append(nxt)
-            history.pop(0)
-        return out
-
-    if rule.kind == "hamilton":
-        per_horizon = rule.fitted_params
-        lags = len(per_horizon[0]) - 1
-        if n < lags:
-            raise ForecastError(
-                f"hamilton application needs at least {lags} observations"
-            )
-        if horizon > len(per_horizon):
-            raise ForecastError(
-                f"hamilton rule was fitted for horizons 1..{len(per_horizon)}, "
-                f"asked for {horizon}"
-            )
-        predictors = np.concatenate([[1.0], z[n - lags :][::-1]])
-        return np.array(
-            [float(np.asarray(per_horizon[h]) @ predictors) for h in range(horizon)]
+    fitted, p = rule.matrix.shape
+    if not 1 <= horizon <= fitted:
+        raise ForecastError(
+            f"{rule.kind} rule was fitted for horizons 1..{fitted}, asked for {horizon}"
         )
-
-    raise ForecastError(f"unknown forecast rule {rule.kind!r}")
+    if z.ndim not in (1, 2) or z.shape[0] < p:
+        raise ForecastError(f"{rule.kind} application needs at least {p} observations")
+    offset = rule.offset[:horizon]
+    out = rule.matrix[:horizon] @ z[z.shape[0] - p :]
+    return out + (offset if z.ndim == 1 else offset[:, None])
 
 
 @dataclass(frozen=True)
@@ -273,8 +249,9 @@ class ComposedForecaster:
     basis: SpectralBasis
 
     def apply(self, r: np.ndarray, horizon: int) -> np.ndarray:
+        """Forecast a path of shape (n,) or each column of an (n, m) stack."""
         r = np.asarray(r, dtype=float)
-        if r.shape != (self.basis.n,):
+        if r.ndim not in (1, 2) or r.shape[0] != self.basis.n:
             raise ForecastError(
                 f"path length {r.shape} does not match basis size {self.basis.n}"
             )
@@ -305,7 +282,7 @@ def fit_composed(
     # floating-point dust; fitting an autoregression to that dust produces
     # arbitrary coefficients (and spurious nonstationarity warnings), so a
     # negligible remainder is treated as exactly zero.
-    if np.max(np.abs(rest)) <= 1e-12 * (1.0 + np.max(np.abs(r_pre))):
+    if np.abs(rest).max() <= 1e-12 * (1.0 + np.abs(r_pre).max()):
         rest = np.zeros_like(rest)
     rule = fit_rule(rule_kind, q, rest, horizon, order=order, lags=lags)
     return ComposedForecaster(rule=rule, basis=basis)

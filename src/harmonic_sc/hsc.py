@@ -58,8 +58,8 @@ class HscConfig:
         if isinstance(self.zeta, str):
             if self.zeta != "auto":
                 raise ValueError(f'zeta must be a number or "auto", got {self.zeta!r}')
-        elif self.zeta < 0:
-            raise ValueError(f"zeta must be nonnegative, got {self.zeta}")
+        elif not np.isfinite(self.zeta) or self.zeta < 0:
+            raise ValueError(f"zeta must be finite and nonnegative, got {self.zeta}")
 
 
 @dataclass(frozen=True)

@@ -69,8 +69,8 @@ class SimplexQP:
         asym = float(np.max(np.abs(g - g.T)))
         if asym > 1e-10 * scale:
             raise ValueError(f"gram asymmetry {asym:.3e} exceeds tolerance")
-        if self.ridge < 0:
-            raise ValueError(f"ridge must be nonnegative, got {self.ridge}")
+        if not np.isfinite(self.ridge) or self.ridge < 0:
+            raise ValueError(f"ridge must be finite and nonnegative, got {self.ridge}")
         object.__setattr__(self, "gram", (g + g.T) / 2.0)
         object.__setattr__(self, "linear", l)
 

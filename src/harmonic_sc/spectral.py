@@ -192,11 +192,6 @@ class RhoMetric:
     shrink_gains: np.ndarray
     match_gains: np.ndarray
 
-    @property
-    def lam(self) -> float:
-        """The penalty weight lam = rho/(1-rho); +inf at rho=1."""
-        return np.inf if self.rho == 1.0 else self.rho / (1.0 - self.rho)
-
 
 def rho_metric(basis: SpectralBasis, rho: float) -> RhoMetric:
     """Bind a spectral basis to a mixing weight rho."""

@@ -111,8 +111,10 @@ class CvPlan:
                 )
         if isinstance(self.zeta, str) and self.zeta != "auto":
             raise ValueError(f'zeta must be a number or "auto", got {self.zeta!r}')
-        if not isinstance(self.zeta, str) and self.zeta < 0:
-            raise ValueError(f"zeta must be nonnegative, got {self.zeta}")
+        if not isinstance(self.zeta, str) and not (
+            np.isfinite(self.zeta) and self.zeta >= 0
+        ):
+            raise ValueError(f"zeta must be finite and nonnegative, got {self.zeta}")
         object.__setattr__(self, "rho_grid", grid)
         object.__setattr__(
             self, "candidates", tuple((int(q), str(r)) for q, r in self.candidates)

@@ -119,6 +119,15 @@ def test_estimate_validation_failures(tmp_path, capsys):
     assert "--rho" in capsys.readouterr().err
 
 
+def test_estimate_non_finite_zeta_names_zeta(tmp_path, capsys):
+    panel_csv = write_panel_csv(tmp_path / "panel.csv")
+    base = ["estimate", "--panel", str(panel_csv), "--treated", "A", "--t0", "10",
+            "--rho", "0.5", "--out", str(tmp_path / "x")]
+    for zeta in ("nan", "inf"):
+        assert cli.main(base + ["--zeta", zeta]) == 1
+        assert "zeta must be finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # cv
 
@@ -188,6 +197,22 @@ def test_config_file_supplies_and_flags_override(tmp_path):
     assert cli.main(base + ["--rho", "0.7", "--out", str(out_b)]) == 0
     snap_b = json.loads((out_b / "manifest.json").read_text())["config_snapshot"]
     assert snap_b["rho"] == 0.7
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("zeta", None), ("rho", None), ("t0", [80]), ("treated", {"id": "A"})],
+    ids=["zeta-null", "rho-null", "t0-list", "treated-object"],
+)
+def test_config_value_of_wrong_json_type_exits(tmp_path, capsys, key, value):
+    panel_csv = write_panel_csv(tmp_path / "panel.csv")
+    settings = {"rho": 0.3, "t0": 10, "treated": "A", key: value}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
+    code = cli.main(["estimate", "--panel", str(panel_csv), "--config", str(config),
+                     "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert repr(key) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -149,19 +149,44 @@ def test_continuation_term_direct_form(rho):
     npt.assert_allclose(ab.term_b, ab.eta_post - smoothed_gap, atol=1e-9)
 
 
+def materialize_map_by_columns(forecaster, metric, horizon):
+    """Oracle for ``decomp._materialize_map``: one application per column.
+
+    The affine forecast map is pinned down by its action on each column of
+    the smoother plus its value at zero.
+    """
+    v = metric.basis.eigenvectors
+    smoother = (v * metric.shrink_gains) @ v.T
+    n = metric.basis.n
+    offset = forecaster.apply(np.zeros(n), horizon)
+    pi = np.empty((horizon, n))
+    for j in range(n):
+        pi[:, j] = forecaster.apply(smoother[:, j], horizon) - offset
+    return pi, offset
+
+
 def test_materialized_map_matches_affine_application():
     latent, _ = make_latent(seed=25, t0=30, t_post=4)
-    fit = hsc.fit(
-        latent.to_view(), hsc.HscConfig(rho=0.7, q=1, rule_kind="ar", zeta=0.3)
-    )
-    basis = spectral.spectral_basis(latent.t0, 1)
-    metric = spectral.rho_metric(basis, 0.7)
-    pi, offset = decomp._materialize_map(fit.forecaster, metric, latent.t_post)
     rng = np.random.default_rng(7)
-    for _ in range(5):
-        r = rng.normal(size=latent.t0)
-        direct = fit.forecaster.apply(spectral.smoother_apply(metric, r), latent.t_post)
-        npt.assert_allclose(pi @ r + offset, direct, atol=1e-10)
+    for q in (1, 2):
+        basis = spectral.spectral_basis(latent.t0, q)
+        metric = spectral.rho_metric(basis, 0.7)
+        for rule in forecast.RULE_KINDS:
+            cfg = hsc.HscConfig(rho=0.7, q=q, rule_kind=rule, zeta=0.3)
+            fit = hsc.fit(latent.to_view(), cfg)
+            pi, offset = decomp._materialize_map(fit.forecaster, metric, latent.t_post)
+            pi_ref, offset_ref = materialize_map_by_columns(
+                fit.forecaster, metric, latent.t_post
+            )
+            scale = np.max(np.abs(pi_ref)) + np.max(np.abs(offset_ref))
+            npt.assert_allclose(pi, pi_ref, rtol=0.0, atol=1e-12 * scale)
+            npt.assert_array_equal(offset, offset_ref)
+            for _ in range(5):
+                r = rng.normal(size=latent.t0)
+                direct = fit.forecaster.apply(
+                    spectral.smoother_apply(metric, r), latent.t_post
+                )
+                npt.assert_allclose(pi @ r + offset, direct, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

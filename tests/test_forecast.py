@@ -159,9 +159,13 @@ def test_unknown_rule_token():
 
 
 def test_hamilton_horizon_overrun():
-    rule = forecast.fit_rule("hamilton", 1, np.arange(20.0), 2)
-    with pytest.raises(forecast.ForecastError, match="horizons 1..2"):
-        forecast.apply_rule(rule, np.arange(20.0), 3)
+    # Every rule is frozen for the horizon it was fitted for, not only the
+    # direct-regression one.
+    z = np.random.default_rng(2).normal(size=20)
+    for rule_kind in forecast.RULE_KINDS:
+        rule = forecast.fit_rule(rule_kind, 1, z, 2)
+        with pytest.raises(forecast.ForecastError, match="horizons 1..2"):
+            forecast.apply_rule(rule, z, 3)
 
 
 def test_bad_horizon():
@@ -255,6 +259,82 @@ def test_fitted_rules_apply_affinely(rule_kind):
         - forecast.apply_rule(rule, zero, 3)
     )
     np.testing.assert_allclose(lhs, rhs, atol=1e-7)
+
+
+# ------------------------------------------------- reference recursions
+
+def reference_apply_rule(rule, z, horizon):
+    """The per-kind recursions that ``apply_rule``'s operator replaced."""
+    n = z.size
+    if rule.kind == "last_constant":
+        return np.full(horizon, z[-1])
+    if rule.kind == "arima110":
+        (phi,) = rule.fitted_params
+        level = z[-1]
+        step = z[-1] - z[-2]
+        out = np.empty(horizon)
+        for h in range(horizon):
+            step *= phi
+            level += step
+            out[h] = level
+        return out
+    if rule.kind == "ar":
+        coef = np.asarray(rule.fitted_params)
+        history = list(z[n - (coef.size - 1) :])
+        out = np.empty(horizon)
+        for h in range(horizon):
+            nxt = coef[0] + float(coef[1:] @ np.asarray(history[::-1]))
+            out[h] = nxt
+            history.append(nxt)
+            history.pop(0)
+        return out
+    per_horizon = rule.fitted_params
+    lags = len(per_horizon[0]) - 1
+    predictors = np.concatenate([[1.0], z[n - lags :][::-1]])
+    return np.array(
+        [float(np.asarray(per_horizon[h]) @ predictors) for h in range(horizon)]
+    )
+
+
+def reference_compose_apply(rule, basis, r, horizon):
+    """Null-route continuation plus the reference rule, one path at a time."""
+    null_part = basis.project_null(r)
+    slope = null_part[-1] - null_part[-2] if rule.q == 2 else 0.0
+    h = np.arange(1, horizon + 1, dtype=float)
+    return null_part[-1] + h * slope + reference_apply_rule(
+        rule, r - null_part, horizon
+    )
+
+
+@pytest.mark.parametrize("horizon", [1, 4, 12])
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("rule_kind", forecast.RULE_KINDS)
+def test_operator_matches_reference_recursions(rule_kind, q, horizon):
+    rng = np.random.default_rng(41)
+    n = 40
+    basis = spectral_basis(n, q)
+    # A stationary AR(2) remainder keeps every fit away from a unit root.
+    z_fit = np.zeros(n)
+    for t in range(2, n):
+        z_fit[t] = 0.5 * z_fit[t - 1] - 0.3 * z_fit[t - 2] + rng.normal()
+    rule = forecast.fit_rule(rule_kind, q, basis.project_perp(z_fit), horizon)
+    op = forecast.ComposedForecaster(rule=rule, basis=basis)
+    paths = rng.normal(size=(n, 3)).cumsum(axis=0) + 0.2 * np.arange(n)[:, None]
+
+    def check(actual, expected):
+        tol = 1e-12 * np.max(np.abs(expected))
+        np.testing.assert_allclose(actual, expected, rtol=0.0, atol=tol)
+
+    rule_stack = forecast.apply_rule(rule, paths, horizon)
+    op_stack = op.apply(paths, horizon)
+    assert rule_stack.shape == op_stack.shape == (horizon, 3)
+    for j in range(3):
+        expected = reference_apply_rule(rule, paths[:, j], horizon)
+        check(forecast.apply_rule(rule, paths[:, j], horizon), expected)
+        check(rule_stack[:, j], expected)
+        expected = reference_compose_apply(rule, basis, paths[:, j], horizon)
+        check(op.apply(paths[:, j], horizon), expected)
+        check(op_stack[:, j], expected)
 
 
 def test_composed_forecaster_length_check():

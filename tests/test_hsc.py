@@ -2,9 +2,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonic_sc import hsc, qp, spectral
-from harmonic_sc.forecast import ForecastError
+from harmonic_sc.forecast import RULE_KINDS, ForecastError
 from harmonic_sc.panel import PrePostView
 
 
@@ -62,6 +64,12 @@ def test_config_validation():
         hsc.HscConfig(rho=0.5, zeta="bogus")
     with pytest.raises(ValueError, match="zeta"):
         hsc.HscConfig(rho=0.5, zeta=-0.1)
+
+
+def test_config_rejects_non_finite_zeta():
+    for zeta in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="zeta must be finite"):
+            hsc.HscConfig(rho=0.5, zeta=zeta)
 
 
 # ------------------------------------------------- endpoint equivalences
@@ -189,7 +197,37 @@ def test_forecaster_rule_respected():
     view = random_view(11, t0=50)
     fitted = hsc.fit(view, hsc.HscConfig(rho=0.5, q=1, rule_kind="ar", ar_order=2))
     assert fitted.forecaster.rule.kind == "ar"
-    assert fitted.forecaster.rule.order == 2
+    assert fitted.forecaster.rule.matrix.shape[1] == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.sampled_from([1, 2]),
+    rule_kind=st.sampled_from(RULE_KINDS),
+    rho=st.floats(0.0, 1.0),
+    a=st.floats(-50.0, 50.0),
+    b=st.floats(-2.0, 2.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_treated_polynomial_shift_equivariance(seed, q, rule_kind, rho, a, b):
+    # A polynomial of degree < q in the treated series lies in the penalty
+    # null space: the weights ignore it and the forecast carries it forward.
+    view = random_view(seed, t0=30, n_donors=5, t_post=4)
+    t = np.arange(34, dtype=float)
+    poly = a + (b if q == 2 else 0.0) * t
+    shifted = PrePostView(
+        y_pre=view.y_pre + poly[:30], x_pre=view.x_pre,
+        y_post=view.y_post + poly[30:], x_post=view.x_post,
+    )
+    cfg = hsc.HscConfig(rho=rho, q=q, rule_kind=rule_kind)
+    base, moved = hsc.fit(view, cfg), hsc.fit(shifted, cfg)
+    np.testing.assert_allclose(moved.weights, base.weights, rtol=0.0, atol=1e-9)
+    scale = 1.0 + np.max(np.abs(base.counterfactual)) + np.max(np.abs(poly))
+    np.testing.assert_allclose(
+        moved.counterfactual - base.counterfactual, poly[30:],
+        rtol=0.0, atol=1e-9 * scale,
+    )
 
 
 # ----------------------------------------------------------------- errors

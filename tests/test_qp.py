@@ -91,6 +91,12 @@ def test_simplexqp_validation():
         qp.SimplexQP(gram=good, linear=np.zeros(4), offset=0.0, ridge=0.0)
 
 
+def test_simplexqp_rejects_non_finite_ridge():
+    for ridge in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="ridge must be finite"):
+            qp.SimplexQP(gram=np.eye(3), linear=np.zeros(3), offset=0.0, ridge=ridge)
+
+
 # ------------------------------------------------------------- projection
 
 @given(st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=12))

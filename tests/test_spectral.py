@@ -139,7 +139,7 @@ def test_eigendecompose_wraps_lapack_failure(monkeypatch):
 _BASIS_BYTES_SCRIPT = """
 import hashlib
 import numpy as np
-from harmonic_sc import spectral, tuning
+from harmonic_sc import decomp, mc, spectral, tuning
 digest = hashlib.sha256()
 for n in (80, 200):
     for q in (1, 2):
@@ -153,6 +153,13 @@ x = np.cumsum(rng.normal(size=(60, 30)), axis=0)
 y = x @ rng.dirichlet(np.ones(30)) + 0.5 * rng.normal(size=60)
 plan = tuning.CvPlan(h=2, folds=5, candidates=((1, "last_constant"), (2, "ar")))
 digest.update(tuning.cross_validate(y, x, plan).per_fold_errors.tobytes())
+# q=2 error decompositions: the stacked forecast map of every grid point
+# enters the hash through the weight-gap term and the transfer norm.
+for t0 in (80, 200):
+    _, latent = mc.simulate_simple(mc.SimpleDgpConfig(kappa=2.0, master_seed=3, t0=t0), 1)
+    report = decomp.decompose(latent, q=2, rule_kind="ar")
+    for value in vars(report).values():
+        digest.update(np.asarray(value).tobytes())
 print(digest.hexdigest())
 """
 
@@ -278,13 +285,6 @@ def test_rho_metric_elementwise_formulas():
     np.testing.assert_array_equal(m1.match_gains, (mu > 0).astype(float))
 
 
-def test_rho_metric_lam():
-    basis = spectral.spectral_basis(10, 1)
-    assert spectral.rho_metric(basis, 0.5).lam == pytest.approx(1.0)
-    assert spectral.rho_metric(basis, 0.0).lam == 0.0
-    assert spectral.rho_metric(basis, 1.0).lam == np.inf
-
-
 def test_smoother_fixes_null_space():
     t = np.arange(12, dtype=float)
     cases = {1: [np.ones(12)], 2: [np.ones(12), 2.0 + 0.3 * t]}
@@ -318,7 +318,8 @@ def smoother_apply_direct(metric, r):
         raise ValueError("direct solve undefined at rho=1 (lam is infinite)")
     n = metric.basis.n
     k = spectral.penalty_matrix(n, metric.basis.q)
-    return np.linalg.solve(np.eye(n) + metric.lam * k, np.asarray(r, dtype=float))
+    lam = metric.rho / (1.0 - metric.rho)
+    return np.linalg.solve(np.eye(n) + lam * k, np.asarray(r, dtype=float))
 
 
 @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])

@@ -120,6 +120,12 @@ def test_plan_rejects_bad_scalars():
         tuning.CvPlan(grid_mode="dyadic")
 
 
+def test_plan_rejects_non_finite_zeta():
+    for zeta in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="zeta must be finite"):
+            tuning.CvPlan(zeta=zeta)
+
+
 # ---------------------------------------------------------------------------
 # cross_validate behaviour
 
