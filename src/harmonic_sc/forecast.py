@@ -74,6 +74,8 @@ def null_continuation(x: np.ndarray, q: int, horizon: int) -> np.ndarray:
         raise ForecastError(f"null path must have length > {q}")
     if horizon < 1:
         raise ForecastError(f"horizon must be positive, got {horizon}")
+    if not np.all(np.isfinite(x)):
+        raise ForecastError("null path must be finite")
     slack = np.abs(np.diff(x, n=q, axis=0)).max(axis=0)
     if (slack > 1e-6 * (1.0 + np.abs(x).max(axis=0))).any():
         raise ForecastError(

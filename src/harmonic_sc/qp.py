@@ -10,17 +10,21 @@ rescales their eigen-coordinates, the baselines residualize them).
 :func:`build` reduces that to coefficient form (gram, linear, offset), the
 one place a weight program is assembled.
 
-:func:`solve` is polish-first.  It opens with an active-set step in the
-manner of Lawson & Hanson (1974, ch. 23): a direct KKT solve on the
-starting point's support, and on that support enlarged by the coordinates
-whose gradient undercuts the support multiplier, with infeasible
-coordinates dropped and the system re-solved.  A good starting point (such
-as the solution at a neighbouring rho) usually lies on the optimal face or
-next to it, so the opening polish finishes the run without a single
-gradient step.  Otherwise an accelerated projected-gradient method with
-exact sort-based simplex projection and a monotonicity safeguard takes
-over, and repeats the same polish every 20 iterations until the support
-settles.
+:func:`solve` is polish-first: a primal active-set method in the manner of
+Lawson & Hanson (1974, *Solving Least Squares Problems*, ch. 23).  Each
+round solves the KKT system on the current face, and on that face enlarged
+by the coordinates whose gradient undercuts the support multiplier; a face
+solution with negative weights drops those coordinates and is solved
+again.  An improved point that is not yet stationary starts the next
+round, so a good starting point (such as the solution at a neighbouring
+rho) finishes the run in a face solve or two, and even the uniform start
+usually does.  With ``ridge > 0`` (every estimator program and the SDID
+unit weights) the restricted Hessian is positive definite and a face costs
+one LAPACK solve; only ``ridge == 0`` programs, whose faces can be flat,
+pay for an SVD pseudo-inverse.  Should the rounds end short of a certified
+point, an accelerated projected-gradient method with exact sort-based
+simplex projection and a monotonicity safeguard takes over, and repeats
+the polish every 20 iterations.
 """
 
 from __future__ import annotations
@@ -65,6 +69,9 @@ class SimplexQP:
             raise ValueError(
                 f"linear length {l.shape} does not match gram size {g.shape[0]}"
             )
+        for name, value in (("gram", g), ("linear", l), ("offset", self.offset)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         scale = max(float(np.max(np.abs(g))), 1.0)
         asym = float(np.max(np.abs(g - g.T)))
         if asym > 1e-10 * scale:
@@ -94,11 +101,17 @@ class SimplexQP:
 
 @dataclass(frozen=True)
 class QPSolution:
-    """Solver output: simplex weights plus convergence diagnostics."""
+    """Solver output: simplex weights plus convergence diagnostics.
+
+    ``iterations`` counts projected-gradient steps (0 when the opening
+    polish finished the run) and ``face_solves`` the linear solves of the
+    active-set polish, backoff rounds included.
+    """
 
     weights: np.ndarray
     objective: float
     iterations: int
+    face_solves: int
     kkt_residual: float
 
 
@@ -171,63 +184,83 @@ def _kkt_residual(w: np.ndarray, grad: np.ndarray) -> float:
     return res
 
 
-def _polish(qp: SimplexQP, support: np.ndarray, rounds: int = 5) -> np.ndarray | None:
-    """Solve the equality-constrained QP restricted to ``support``.
+def _face_solve(qp: SimplexQP, idx: np.ndarray) -> np.ndarray:
+    """Stationary point of the QP on the face ``{w_idx sums to 1}``.
 
-    Returns a full-length weight vector, or None when no feasible face is
-    found.  The bordered KKT matrix is factored once by SVD and solved in
-    the least-squares sense, with singular values at or below
-    ``eps * (m + 1) * s_max`` dropped (the cutoff ``lstsq`` applies):
-    restricted to a flat optimal face the gram is rank-deficient and the
-    KKT matrix exactly singular, and the pseudo-inverse then picks the
-    minimum-norm point of the face.  When the solution leaves the trial
-    face (negative weights), those coordinates are dropped and the system
-    re-solved, so a slightly-too-large trial shrinks to a feasible face
-    instead of being rejected outright.  The caller's exact stationarity
-    check decides whether the candidate is accepted, so an inconsistent
-    system merely yields a rejected candidate.
+    Solves ``H w + nu 1 = -2 linear_S``, ``1'w = 1`` with
+    ``H = 2 (gram_SS + ridge I)``.  For ``ridge > 0`` ``H`` is positive
+    definite and one LAPACK solve with two right-hand sides gives
+    ``H^-1 (-2 linear_S)`` and ``H^-1 1``; the sum constraint then fixes
+    the multiplier (a Schur complement of one entry).  For ``ridge == 0``
+    the restricted gram may be singular on a flat face, so the bordered
+    system is solved by SVD pseudo-inverse, which picks the face's
+    minimum-norm point; its border is scaled to the size of ``H`` so the
+    pseudo-inverse cutoff cannot drop the border's singular value.
     """
-    trial = np.array(support, dtype=bool, copy=True)
-    for _ in range(rounds):
-        idx = np.nonzero(trial)[0]
-        m = idx.size
-        if m == 0:
-            return None
-        kkt = np.zeros((m + 1, m + 1))
-        kkt[:m, :m] = 2.0 * (qp.gram[np.ix_(idx, idx)] + qp.ridge * np.eye(m))
-        kkt[:m, m] = 1.0
-        kkt[m, :m] = 1.0
-        rhs = np.concatenate([-2.0 * qp.linear[idx], [1.0]])
-        u, s, vt = np.linalg.svd(kkt)
-        keep = s > np.finfo(float).eps * (m + 1) * s[0]
-        u, vt, s_inv = u[:, keep], vt[keep], 1.0 / s[keep]
+    m = idx.size
+    h = 2.0 * qp.gram[np.ix_(idx, idx)]
+    if qp.ridge > 0.0:
+        h[np.diag_indices(m)] += 2.0 * qp.ridge
+        rhs = np.empty((m, 2))
+        rhs[:, 0] = -2.0 * qp.linear[idx]
+        rhs[:, 1] = 1.0
+        w0, v = np.linalg.solve(h, rhs).T
+        return w0 - ((w0.sum() - 1.0) / v.sum()) * v
+    c = max(1.0, float(np.max(np.abs(h))))
+    kkt = np.zeros((m + 1, m + 1))
+    kkt[:m, :m] = h
+    kkt[:m, m] = kkt[m, :m] = c
+    rhs = np.concatenate([-2.0 * qp.linear[idx], [c]])
+    u, s, vt = np.linalg.svd(kkt)
+    keep = s > np.finfo(float).eps * (m + 1) * s[0]
+    u, vt, s_inv = u[:, keep], vt[keep], 1.0 / s[keep]
 
-        def pinv_solve(b: np.ndarray) -> np.ndarray:
-            return vt.T @ (s_inv * (u.T @ b))
+    def pinv_solve(b: np.ndarray) -> np.ndarray:
+        return vt.T @ (s_inv * (u.T @ b))
 
-        sol = pinv_solve(rhs)
-        # Iterative refinement with the residual accumulated in extended
-        # precision.  The bordered system mixes gram-scale and unit-scale
-        # rows, and the plain backward-stable solve leaves the support
-        # gradient dispersed by eps * cond(H) * ||H|| — more than the
-        # stationarity test tolerates on large-scale instances.  Refinement
-        # brings the error down to working precision.
-        kkt_l = kkt.astype(np.longdouble)
-        rhs_l = rhs.astype(np.longdouble)
-        for _ in range(2):
-            if not np.all(np.isfinite(sol)):
-                break
-            resid = rhs_l - kkt_l @ sol.astype(np.longdouble)
-            corr = pinv_solve(resid.astype(np.float64))
-            if not np.all(np.isfinite(corr)) or not np.any(corr):
-                break
-            sol = sol + corr
-        w_s = sol[:m]
+    sol = pinv_solve(rhs)
+    # Iterative refinement with the residual accumulated in extended
+    # precision: the plain pseudo-inverse solve leaves the support gradient
+    # dispersed by eps * cond(H) * ||H||, more than the stationarity test
+    # tolerates on large-scale instances.
+    kkt_l = kkt.astype(np.longdouble)
+    rhs_l = rhs.astype(np.longdouble)
+    for _ in range(2):
+        if not np.all(np.isfinite(sol)):
+            break
+        resid = rhs_l - kkt_l @ sol.astype(np.longdouble)
+        corr = pinv_solve(resid.astype(np.float64))
+        if not np.all(np.isfinite(corr)) or not np.any(corr):
+            break
+        sol = sol + corr
+    return sol[:m]
+
+
+def _polish(qp: SimplexQP, support: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """Minimize the QP on the face spanned by ``support``, with backoff.
+
+    Returns a full-length weight vector (None when no feasible face is
+    found) and the number of face solves spent.  When the face solution
+    has negative weights, those coordinates are dropped and the smaller
+    face solved again, so a too-large trial shrinks to a feasible face
+    instead of being rejected outright; every round drops a coordinate, so
+    at most ``support.sum()`` solves are spent.  The caller's exact
+    stationarity check decides whether the candidate is accepted, so an
+    inconsistent system merely yields a rejected candidate.
+    """
+    idx = np.nonzero(support)[0]
+    solves = 0
+    while idx.size:
+        solves += 1
+        try:
+            w_s = _face_solve(qp, idx)
+        except np.linalg.LinAlgError:
+            return None, solves
         if not np.all(np.isfinite(w_s)):
-            return None
+            return None, solves
         negative = w_s < -1e-12
         if np.any(negative):
-            trial[idx[negative]] = False
+            idx = idx[~negative]
             continue
         # Dust-level coordinates are truly inactive; reporting them as
         # positive would misclassify them in the stationarity check.
@@ -236,12 +269,14 @@ def _polish(qp: SimplexQP, support: np.ndarray, rounds: int = 5) -> np.ndarray |
         w[idx] = w_s
         total = w.sum()
         if not np.isfinite(total) or abs(total - 1.0) > 1e-8:
-            return None
-        return w / total
-    return None
+            return None, solves
+        return w / total, solves
+    return None, solves
 
 
-def _finish(w: np.ndarray, objective: float, iterations: int, kkt: float) -> QPSolution:
+def _finish(
+    w: np.ndarray, objective: float, iterations: int, face_solves: int, kkt: float
+) -> QPSolution:
     w = w.copy()
     w[w < 1e-12] = 0.0
     total = w.sum()
@@ -251,6 +286,7 @@ def _finish(w: np.ndarray, objective: float, iterations: int, kkt: float) -> QPS
         weights=w / total,
         objective=objective,
         iterations=iterations,
+        face_solves=face_solves,
         kkt_residual=kkt,
     )
 
@@ -264,20 +300,24 @@ def solve(
 ) -> QPSolution:
     """Minimize the QP over the simplex.
 
-    The run opens with a polish of the starting point: a direct KKT solve
-    with active-set backoff on its support and, when some zero coordinate's
-    gradient undercuts the support multiplier, on the support enlarged by
-    those coordinates.  A polished point is accepted when it does not raise
-    the objective beyond rounding noise and meets the stationarity target;
-    the run then ends with ``iterations == 0`` ("finished by the opening
-    polish").  Otherwise accelerated projected gradient takes over, with
-    a monotone safeguard: whenever the accelerated step would increase the
-    objective, momentum restarts and a plain projected-gradient step (with
-    step-size backtracking) is taken instead, so the objective sequence is
-    nonincreasing by construction.  Its step size comes from a power-
-    iteration estimate of the Lipschitz constant, computed only once the
-    loop starts.  Every 20 iterations the same polish is repeated, which
-    typically terminates the run exactly.
+    The run opens with the active-set polish of the starting point.  Each
+    round solves, with backoff, the face of the current support and, when
+    some zero coordinate's gradient undercuts the support multiplier, the
+    face enlarged by those coordinates.  A polished point is accepted when
+    it does not raise the objective beyond rounding noise and meets the
+    stationarity target; the run then ends with ``iterations == 0``
+    ("finished by the opening polish").  A polished point that lowers the
+    objective without meeting the target becomes the current point, and
+    the next round rebuilds the support and the entering set from it.  The
+    rounds stop at a certified point, at a round that does not lower the
+    objective, or after ``n`` rounds.  Only then does accelerated
+    projected gradient take over, with a monotone safeguard: whenever the
+    accelerated step would increase the objective, momentum restarts and a
+    plain projected-gradient step (with step-size backtracking) is taken
+    instead, so the objective sequence is nonincreasing by construction.
+    Its step size comes from a power-iteration estimate of the Lipschitz
+    constant, computed only once the loop starts.  Every 20 iterations the
+    same polish is repeated, which typically terminates the run exactly.
 
     Parameters
     ----------
@@ -323,38 +363,47 @@ def solve(
         trace.append(f_x)
     best_w, best_f, best_kkt = x, f_x, np.inf
     y, t_mom = x, 1.0
-    it = 0
+    it = face_solves = 0
     while True:
         if it % 20 == 0:
-            # At it == 0 this is the opening polish.  Beside the current
-            # face, try the face the gradient points at: a zero coordinate
-            # undercutting the support multiplier may be optimal at a weight
-            # far below what projected steps can build up, and only the
-            # direct solve places it exactly.
-            support = x > 0.0
-            nu = float(np.mean(grad_x[support]))
-            entering = ~support & (grad_x < nu)
-            trials = [support]
-            if np.any(entering):
-                trials.append(support | entering)
-            for trial in trials:
-                polished = _polish(qp, trial)
-                if polished is None:
-                    continue
-                f_p = qp.eval(polished)
-                if f_p > f_x + noise:
-                    continue
-                grad_p = qp.gradient(polished)
-                kkt_p = _kkt_residual(polished, grad_p)
-                if kkt_p <= tol * (1.0 + float(np.linalg.norm(grad_p))):
-                    if trace is not None:
-                        trace.append(f_p)
-                    return _finish(polished, f_p, it, kkt_p)
-                if f_p < f_x:
-                    x, f_x = polished, f_p
-                    y, t_mom = x, 1.0
-                    if f_x < best_f:
-                        best_w, best_f, best_kkt = x, f_x, kkt_p
+            # At it == 0 this is the opening polish.  Each round tries the
+            # current face and the face the gradient points at: a zero
+            # coordinate undercutting the support multiplier may be optimal
+            # at a weight far below what projected steps can build up, and
+            # only the direct solve places it exactly.  An improved but
+            # uncertified point starts the next round; every adopted point
+            # lowers the objective, so no face is visited twice.
+            on_face_optimum = False
+            for _ in range(n):
+                support = x > 0.0
+                nu = float(np.mean(grad_x[support]))
+                entering = ~support & (grad_x < nu)
+                trials = [] if on_face_optimum else [support]
+                if np.any(entering):
+                    trials.append(support | entering)
+                for trial in trials:
+                    polished, solves = _polish(qp, trial)
+                    face_solves += solves
+                    if polished is None:
+                        continue
+                    f_p = qp.eval(polished)
+                    if f_p > f_x + noise:
+                        continue
+                    grad_p = qp.gradient(polished)
+                    kkt_p = _kkt_residual(polished, grad_p)
+                    if kkt_p <= tol * (1.0 + float(np.linalg.norm(grad_p))):
+                        if trace is not None:
+                            trace.append(f_p)
+                        return _finish(polished, f_p, it, face_solves, kkt_p)
+                    if f_p < f_x:
+                        x, f_x, grad_x = polished, f_p, grad_p
+                        y, t_mom = x, 1.0
+                        if f_x < best_f:
+                            best_w, best_f, best_kkt = x, f_x, kkt_p
+                        on_face_optimum = True
+                        break
+                else:
+                    break  # no trial lowered the objective
         if it == max_iter:
             break
         if it == 0:
@@ -394,9 +443,9 @@ def solve(
         if f_x < best_f or (f_x == best_f and kkt < best_kkt):
             best_w, best_f, best_kkt = x, f_x, kkt
         if kkt <= tol * (1.0 + float(np.linalg.norm(grad_x))):
-            return _finish(x, f_x, it, kkt)
+            return _finish(x, f_x, it, face_solves, kkt)
 
-    stalled = _finish(best_w, best_f, max_iter, best_kkt)
+    stalled = _finish(best_w, best_f, max_iter, face_solves, best_kkt)
     raise SolverStall(
         f"no convergence in {max_iter} iterations "
         f"(kkt residual {best_kkt:.3e}, tol {tol:.1e})",

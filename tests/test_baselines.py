@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from harmonic_sc import baselines, hsc, qp
+from harmonic_sc import baselines, hsc, qp, tuning
 from harmonic_sc.panel import PrePostView
 
 
@@ -260,3 +260,50 @@ def test_sdid_counterfactual_formula():
         fit.counterfactual, view.x_post @ fit.weights + lam @ residual
     )
     assert fit.aux["zeta"] == pytest.approx(hsc.auto_zeta(view.x_pre, view.t_post))
+
+
+# ---------------------------------------------------------------------------
+# scale equivariance of every weight program
+
+
+def level_panel(seed, t0=50, t_post=10, n_donors=30):
+    """Donors at levels 5-15 sharing a random walk, each with its own walk."""
+    rng = np.random.default_rng(seed)
+    common = np.cumsum(rng.normal(size=t0 + t_post))
+    x = (
+        rng.uniform(5.0, 15.0, n_donors)
+        + np.outer(common, rng.normal(1.0, 0.5, n_donors))
+        + 0.3 * np.cumsum(rng.normal(size=(t0 + t_post, n_donors)), axis=0)
+        + 0.5 * rng.normal(size=(t0 + t_post, n_donors))
+    )
+    mix = np.zeros(n_donors)
+    mix[rng.choice(n_donors, size=6, replace=False)] = rng.dirichlet(np.ones(6))
+    y = x @ mix + 0.7 * np.cumsum(rng.normal(size=t0 + t_post))
+    return PrePostView(y_pre=y[:t0], x_pre=x[:t0], y_post=y[t0:], x_post=x[t0:])
+
+
+def test_weights_and_selection_are_scale_equivariant():
+    # Multiplying every outcome by a constant leaves every weight program's
+    # solution unchanged.  At levels in the hundreds the bordered KKT solve
+    # once lost its sum constraint and the solver stalled.
+    base = level_panel(1)
+    plan = tuning.CvPlan(h=4, folds=6, candidates=((1, "last_constant"), (2, "last_constant")))
+
+    def fits(view):
+        weights = {m: baselines.fit(m, view).weights for m in baselines.METHODS}
+        weights["sdid_time"] = baselines.fit("sdid", view).aux["time_weights"]
+        for q in (1, 2):
+            weights[f"hsc_q{q}"] = hsc.fit(view, hsc.HscConfig(rho=0.5, q=q)).weights
+        cv = tuning.cross_validate(view.y_pre, view.x_pre, plan)
+        return weights, (cv.best_rho, cv.best_candidate)
+
+    weights, selection = fits(base)
+    for scale in (1e2, 1e4):
+        scaled = PrePostView(
+            y_pre=scale * base.y_pre, x_pre=scale * base.x_pre,
+            y_post=scale * base.y_post, x_post=scale * base.x_post,
+        )
+        scaled_weights, scaled_selection = fits(scaled)
+        assert scaled_selection == selection
+        for name, w in weights.items():
+            assert_allclose(scaled_weights[name], w, rtol=0.0, atol=1e-9, err_msg=name)

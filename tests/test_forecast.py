@@ -33,6 +33,13 @@ def test_null_continuation_rejects_non_null_input():
         forecast.null_continuation(np.array([1.0, 2.0, 4.0, 8.0]), 2, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_null_continuation_rejects_non_finite_input(bad):
+    for q, path in ((1, np.array([1.0, bad, 1.0])), (2, np.array([[1.0], [2.0], [bad]]))):
+        with pytest.raises(forecast.ForecastError, match="finite"):
+            forecast.null_continuation(path, q, 2)
+
+
 def test_null_continuation_negative_slope():
     np.testing.assert_allclose(
         forecast.null_continuation(np.array([9.0, 7.0, 5.0]), 2, 3), [3.0, 1.0, -1.0]

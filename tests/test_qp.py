@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,32 @@ def brute_force_three_donors(problem, step=0.005):
             if val < best_val:
                 best_w, best_val = w, val
     return best_w
+
+
+def svd_face_solve(problem, idx):
+    """Reference face solve: the bordered KKT system by SVD pseudo-inverse.
+
+    Solves ``[[H, c1], [c1', 0]] [w; nu/c] = [-2 linear_S; c]`` with
+    ``H = 2 (gram_SS + ridge I)``, refined twice with the residual in
+    extended precision.  The border is scaled to ``c = max(1, max|H|)``:
+    left at 1, the pseudo-inverse cutoff drops the border's singular value
+    once the gram is large.
+    """
+    m = idx.size
+    h = 2.0 * (problem.gram[np.ix_(idx, idx)] + problem.ridge * np.eye(m))
+    c = max(1.0, float(np.max(np.abs(h))))
+    kkt = np.zeros((m + 1, m + 1))
+    kkt[:m, :m] = h
+    kkt[:m, m] = kkt[m, :m] = c
+    rhs = np.concatenate([-2.0 * problem.linear[idx], [c]])
+    u, s, vt = np.linalg.svd(kkt)
+    keep = s > np.finfo(float).eps * (m + 1) * s[0]
+    pinv = vt[keep].T @ (u[:, keep].T / s[keep][:, None])
+    sol = pinv @ rhs
+    kkt_l, rhs_l = kkt.astype(np.longdouble), rhs.astype(np.longdouble)
+    for _ in range(2):
+        sol = sol + pinv @ (rhs_l - kkt_l @ sol.astype(np.longdouble)).astype(float)
+    return sol[:m]
 
 
 # ------------------------------------------------------------------ build
@@ -89,6 +117,28 @@ def test_simplexqp_validation():
         qp.SimplexQP(gram=good, linear=np.zeros(3), offset=0.0, ridge=-1.0)
     with pytest.raises(ValueError, match="length"):
         qp.SimplexQP(gram=good, linear=np.zeros(4), offset=0.0, ridge=0.0)
+
+
+@pytest.mark.parametrize("name", ["gram", "linear", "offset"])
+def test_simplexqp_rejects_non_finite_coefficients(name):
+    coefficients = {"gram": np.eye(3), "linear": np.zeros(3), "offset": 0.0}
+    for bad in (np.nan, np.inf):
+        broken = dict(coefficients)
+        if name == "offset":
+            broken[name] = bad
+        else:
+            broken[name] = broken[name].copy()
+            broken[name].flat[1] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            qp.SimplexQP(**broken, ridge=0.0)
+
+
+def test_nan_outcome_is_rejected_when_the_program_is_built():
+    rng = np.random.default_rng(4)
+    y = rng.normal(size=10)
+    y[3] = np.nan
+    with pytest.raises(ValueError, match="linear must be finite"):
+        qp.build(y, rng.normal(size=(10, 3)), ridge=0.1)
 
 
 def test_simplexqp_rejects_non_finite_ridge():
@@ -203,6 +253,92 @@ def test_strict_convexity_start_independence():
     warm = qp.solve(program(0.5), init=neighbour)
     np.testing.assert_allclose(warm.weights, cold.weights, atol=1e-10)
     assert warm.iterations == 0
+
+
+def spectral_program(seed, rho, ridge=0.5):
+    """A rho-metric program shaped like the estimator's (q=1, 30 periods)."""
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.normal(size=(30, 8)), axis=0)
+    y = x @ rng.dirichlet(np.ones(8)) + 0.3 * rng.normal(size=30)
+    basis = spectral.spectral_basis(30, 1)
+    root = np.sqrt(spectral.rho_metric(basis, rho).match_gains)
+    c = root[:, None] * basis.eigenvectors.T
+    return qp.build(c @ y, c @ x, ridge)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e8])
+@pytest.mark.parametrize("seed", range(4))
+def test_face_solve_matches_svd_oracle(seed, scale):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(30, 30))
+    x = np.cumsum(rng.normal(size=(30, 12)), axis=0)
+    y = x @ rng.dirichlet(np.ones(12)) + rng.normal(size=30)
+    problem = qp.build(scale * (c @ y), scale * (c @ x), ridge=0.3 * scale**2)
+    for size in (1, 5, 12):
+        idx = np.sort(rng.choice(12, size=size, replace=False))
+        w = qp._face_solve(problem, idx)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(
+            w, svd_face_solve(problem, idx), rtol=0.0,
+            atol=1e-9 * (1.0 + np.max(np.abs(w))),
+        )
+
+
+def test_iterated_polish_finishes_a_distant_warm_start():
+    # Warm-started from the rho=0 solution, the rho=1 program needed 20
+    # projected-gradient steps when the opening polish stopped after one
+    # improving round.
+    far = qp.solve(spectral_program(2, 0.0)).weights
+    problem = spectral_program(2, 1.0)
+    warm = qp.solve(problem, init=far)
+    # Round one improves on the start's own face; round two solves only
+    # the face enlarged by the entering coordinates, not the face just
+    # solved, and certifies the result.
+    assert (warm.iterations, warm.face_solves) == (0, 2)
+    np.testing.assert_allclose(warm.weights, qp.solve(problem).weights, atol=1e-10)
+    # A start already on the optimal face costs one face solve.
+    again = qp.solve(problem, init=warm.weights)
+    assert (again.iterations, again.face_solves) == (0, 1)
+
+
+def test_ridge_programs_never_call_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called on a ridge > 0 program")
+
+    programs = [random_instance(s, n_obs=30, n_donors=10, ridge=0.2) for s in range(6)]
+    programs += [spectral_program(s, rho) for s in range(3) for rho in (0.0, 0.5, 1.0)]
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for problem in programs:
+        cold = qp.solve(problem)
+        qp.solve(problem, init=np.roll(cold.weights, 1))
+        # An unreachable tolerance also runs the gradient loop and its
+        # repeated polish.
+        with contextlib.suppress(qp.SolverStall):
+            qp.solve(problem, tol=0.0, max_iter=25)
+
+
+def test_numerically_singular_ridge_face_falls_back_to_gradient_steps():
+    # Identical donors at a level where the ridge is below the gram's
+    # rounding: the restricted Hessian is exactly singular in floating
+    # point, and the ridge still decides the optimum (uniform weights).
+    problem = qp.SimplexQP(gram=np.full((3, 3), 1e20), linear=np.full(3, -1e20),
+                           offset=1e20, ridge=1.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        qp._face_solve(problem, np.arange(3))
+    sol = qp.solve(problem)
+    assert sol.iterations > 0
+    np.testing.assert_allclose(sol.weights, np.full(3, 1.0 / 3.0), atol=1e-12)
+
+
+@pytest.mark.parametrize("ridge", [0.0, 0.4])
+def test_solve_is_scale_equivariant(ridge):
+    rng = np.random.default_rng(17)
+    x = 10.0 + np.cumsum(rng.normal(size=(40, 15)), axis=0)
+    y = x @ rng.dirichlet(np.ones(15)) + rng.normal(size=40)
+    base = qp.solve(qp.build(y, x, ridge))
+    for scale in (1e2, 1e4):
+        scaled = qp.solve(qp.build(scale * y, scale * x, ridge * scale**2))
+        np.testing.assert_allclose(scaled.weights, base.weights, rtol=0.0, atol=1e-9)
 
 
 def test_solution_is_clean_simplex_point():
