@@ -367,7 +367,6 @@ def cmd_cv(resolved: dict) -> int:
         h=int(resolved["h"]),
         folds=int(resolved["folds"]),
         rho_grid=rho_grid,
-        grid_mode=grid_token,
         candidates=_parse_candidates(resolved["candidates"]),
         zeta=_zeta_value(resolved["zeta"]),
     )

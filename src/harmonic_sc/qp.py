@@ -21,10 +21,11 @@ rho) finishes the run in a face solve or two, and even the uniform start
 usually does.  With ``ridge > 0`` (every estimator program and the SDID
 unit weights) the restricted Hessian is positive definite and a face costs
 one LAPACK solve; only ``ridge == 0`` programs, whose faces can be flat,
-pay for an SVD pseudo-inverse.  Should the rounds end short of a certified
-point, an accelerated projected-gradient method with exact sort-based
-simplex projection and a monotonicity safeguard takes over, and repeats
-the polish every 20 iterations.
+pay for an SVD pseudo-inverse.  A round that lowers nothing (backoff can
+land on a worse face) ends in the ratio step of Lawson & Hanson's inner
+loop instead: a move toward one face's solution that stops where the
+first weight reaches zero, so every round lowers the objective or ends
+the run.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 
 class SolverStall(RuntimeError):
-    """Iteration budget exhausted before reaching tolerance.
+    """The active-set rounds ended short of a certified point.
 
     The best iterate found is attached as ``solution`` so callers can
     inspect how close the run got.
@@ -103,9 +104,9 @@ class SimplexQP:
 class QPSolution:
     """Solver output: simplex weights plus convergence diagnostics.
 
-    ``iterations`` counts projected-gradient steps (0 when the opening
-    polish finished the run) and ``face_solves`` the linear solves of the
-    active-set polish, backoff rounds included.
+    ``iterations`` counts ratio steps (0 when the opening polish finished
+    the run) and ``face_solves`` the linear solves of the active-set
+    method, backoff rounds and ratio steps included.
     """
 
     weights: np.ndarray
@@ -125,9 +126,8 @@ def build(y: np.ndarray, x: np.ndarray, ridge: float) -> SimplexQP:
         raise ValueError(
             f"x has {x.shape[0]} rows but y has length {y.shape[0]}"
         )
-    gram = x.T @ x
     return SimplexQP(
-        gram=(gram + gram.T) / 2.0,
+        gram=x.T @ x,
         linear=-(x.T @ y),
         offset=float(y @ y),
         ridge=float(ridge),
@@ -143,29 +143,6 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     support = np.nonzero(u * counts > cumulative)[0][-1]
     tau = cumulative[support] / (support + 1.0)
     return np.maximum(v - tau, 0.0)
-
-
-def _lipschitz(gram: np.ndarray, ridge: float) -> float:
-    """Upper estimate of the gradient Lipschitz constant 2*lam_max(gram)+2*ridge."""
-    n = gram.shape[0]
-    # Deterministic ramp start; never orthogonal to the top eigenvector in
-    # practice, and keeps repeated solves bit-identical.
-    v = 1.0 + np.linspace(0.0, 1.0, n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(200):
-        w = gram @ v
-        norm = float(np.linalg.norm(w))
-        if norm <= 1e-300:
-            lam = 0.0
-            break
-        v = w / norm
-        if abs(norm - lam) <= 1e-9 * max(norm, 1.0):
-            lam = norm
-            break
-        lam = norm
-    lip = 2.0 * (1.01 * lam + ridge)
-    return lip if lip > 0.0 else 1.0
 
 
 def _kkt_residual(w: np.ndarray, grad: np.ndarray) -> float:
@@ -192,8 +169,9 @@ def _face_solve(qp: SimplexQP, idx: np.ndarray) -> np.ndarray:
     definite and one LAPACK solve with two right-hand sides gives
     ``H^-1 (-2 linear_S)`` and ``H^-1 1``; the sum constraint then fixes
     the multiplier (a Schur complement of one entry).  For ``ridge == 0``
-    the restricted gram may be singular on a flat face, so the bordered
-    system is solved by SVD pseudo-inverse, which picks the face's
+    the restricted gram may be singular on a flat face, as may ``H`` in
+    floating point when the ridge is below the gram's rounding, so the
+    bordered system is solved by SVD pseudo-inverse, which picks the face's
     minimum-norm point; its border is scaled to the size of ``H`` so the
     pseudo-inverse cutoff cannot drop the border's singular value.
     """
@@ -204,8 +182,12 @@ def _face_solve(qp: SimplexQP, idx: np.ndarray) -> np.ndarray:
         rhs = np.empty((m, 2))
         rhs[:, 0] = -2.0 * qp.linear[idx]
         rhs[:, 1] = 1.0
-        w0, v = np.linalg.solve(h, rhs).T
-        return w0 - ((w0.sum() - 1.0) / v.sum()) * v
+        try:
+            w0, v = np.linalg.solve(h, rhs).T
+        except np.linalg.LinAlgError:
+            pass  # singular in floating point: solved by SVD below
+        else:
+            return w0 - ((w0.sum() - 1.0) / v.sum()) * v
     c = max(1.0, float(np.max(np.abs(h))))
     kkt = np.zeros((m + 1, m + 1))
     kkt[:m, :m] = h
@@ -274,6 +256,30 @@ def _polish(qp: SimplexQP, support: np.ndarray) -> tuple[np.ndarray | None, int]
     return None, solves
 
 
+def _ratio_step(qp: SimplexQP, x: np.ndarray, face: np.ndarray) -> np.ndarray | None:
+    """Move from ``x`` toward the solution of ``face`` until a weight hits zero.
+
+    ``face`` must contain the support of ``x``.  The step length is the
+    largest ``alpha <= 1`` that keeps ``x + alpha (z - x)`` nonnegative, so
+    by convexity the objective does not rise.  Returns None when the face
+    cannot be solved or the step is blocked (``alpha == 0``: a zero weight
+    of ``x`` would turn negative).
+    """
+    idx = np.nonzero(face)[0]
+    direction = -x
+    try:
+        direction[idx] += _face_solve(qp, idx)
+    except np.linalg.LinAlgError:
+        return None
+    shrinking = direction < 0.0
+    alpha = float(np.min(x[shrinking] / -direction[shrinking], initial=1.0))
+    if not alpha > 0.0:
+        return None
+    w = x + alpha * direction
+    w[w < 1e-12] = 0.0
+    return w / w.sum()
+
+
 def _finish(
     w: np.ndarray, objective: float, iterations: int, face_solves: int, kkt: float
 ) -> QPSolution:
@@ -294,47 +300,48 @@ def _finish(
 def solve(
     qp: SimplexQP,
     tol: float = 1e-10,
-    max_iter: int = 100000,
     init: np.ndarray | None = None,
     trace: list | None = None,
 ) -> QPSolution:
     """Minimize the QP over the simplex.
 
-    The run opens with the active-set polish of the starting point.  Each
-    round solves, with backoff, the face of the current support and, when
-    some zero coordinate's gradient undercuts the support multiplier, the
-    face enlarged by those coordinates.  A polished point is accepted when
-    it does not raise the objective beyond rounding noise and meets the
-    stationarity target; the run then ends with ``iterations == 0``
-    ("finished by the opening polish").  A polished point that lowers the
-    objective without meeting the target becomes the current point, and
-    the next round rebuilds the support and the entering set from it.  The
-    rounds stop at a certified point, at a round that does not lower the
-    objective, or after ``n`` rounds.  Only then does accelerated
-    projected gradient take over, with a monotone safeguard: whenever the
-    accelerated step would increase the objective, momentum restarts and a
-    plain projected-gradient step (with step-size backtracking) is taken
-    instead, so the objective sequence is nonincreasing by construction.
-    Its step size comes from a power-iteration estimate of the Lipschitz
-    constant, computed only once the loop starts.  Every 20 iterations the
-    same polish is repeated, which typically terminates the run exactly.
+    Each round solves, with backoff, the face of the current support and,
+    when some zero coordinate's gradient undercuts the support multiplier,
+    the face enlarged by those coordinates.  A polished point is accepted
+    when it does not raise the objective beyond rounding noise and meets
+    the stationarity target.  A polished point that lowers the objective
+    without meeting the target becomes the current point, and the next
+    round rebuilds the support and the entering set from it.  A round in
+    which no polished point lowers the objective ends in a ratio step
+    instead: the support, plus the entering coordinate that undercuts the
+    multiplier most, spans a face whose solution ``z`` is solved once, and
+    the run moves to ``x + alpha (z - x)`` with ``alpha`` the largest step
+    up to 1 that keeps every weight nonnegative.  By convexity that step
+    never raises the objective.  When it is blocked at ``alpha == 0`` (the
+    entering weight would start negative) or lowers nothing, the step is
+    taken on the support's face alone.  A run the opening rounds finish
+    reports ``iterations == 0``.
 
     Parameters
     ----------
     tol : float
         Stationarity target; the run stops when the KKT residual drops
         below ``tol * (1 + ||gradient||)``.
-    max_iter : int
-        Iteration budget; exceeding it raises :class:`SolverStall` with the
-        best iterate attached.
     init : ndarray, optional
         Starting point, projected onto the simplex unless it already lies
         on it (to within 1e-12 in the sum); defaults to the uniform
         vector.  The solution of a nearby program makes the opening polish
         land on the optimal face directly.
     trace : list, optional
-        If given, the starting objective is appended, then one value per
-        iteration, then the polished value when a polish ends the run.
+        If given, the starting objective is appended, then the objective of
+        every point the run moves to, the certified point's last.
+
+    Raises
+    ------
+    SolverStall
+        When no ratio step lowers the objective, or ``4 n`` rounds pass
+        without a certified point; the current point, the best the run
+        found, is attached.
     """
     n = qp.n
     if init is None:
@@ -346,6 +353,12 @@ def solve(
         # opening polish would then start from the full support.
         if not (np.all(x >= 0.0) and abs(x.sum() - 1.0) <= 1e-12):
             x = project_simplex(x)
+        # Dust-level weights are inactive, as in every point the run moves
+        # to: a ratio step blocked by one would barely move.
+        dust = (x > 0.0) & (x < 1e-12)
+        if np.any(dust):
+            x[dust] = 0.0
+            x /= x.sum()
     # The objective is evaluated by cancelling terms of this magnitude, so
     # differences below ``noise`` are indistinguishable from rounding; the
     # KKT residual, not the objective, discriminates near the optimum.
@@ -361,93 +374,65 @@ def solve(
     grad_x = qp.gradient(x)
     if trace is not None:
         trace.append(f_x)
-    best_w, best_f, best_kkt = x, f_x, np.inf
-    y, t_mom = x, 1.0
-    it = face_solves = 0
-    while True:
-        if it % 20 == 0:
-            # At it == 0 this is the opening polish.  Each round tries the
-            # current face and the face the gradient points at: a zero
-            # coordinate undercutting the support multiplier may be optimal
-            # at a weight far below what projected steps can build up, and
-            # only the direct solve places it exactly.  An improved but
-            # uncertified point starts the next round; every adopted point
-            # lowers the objective, so no face is visited twice.
-            on_face_optimum = False
-            for _ in range(n):
-                support = x > 0.0
-                nu = float(np.mean(grad_x[support]))
-                entering = ~support & (grad_x < nu)
-                trials = [] if on_face_optimum else [support]
-                if np.any(entering):
-                    trials.append(support | entering)
-                for trial in trials:
-                    polished, solves = _polish(qp, trial)
-                    face_solves += solves
-                    if polished is None:
-                        continue
-                    f_p = qp.eval(polished)
-                    if f_p > f_x + noise:
-                        continue
-                    grad_p = qp.gradient(polished)
-                    kkt_p = _kkt_residual(polished, grad_p)
-                    if kkt_p <= tol * (1.0 + float(np.linalg.norm(grad_p))):
-                        if trace is not None:
-                            trace.append(f_p)
-                        return _finish(polished, f_p, it, face_solves, kkt_p)
-                    if f_p < f_x:
-                        x, f_x, grad_x = polished, f_p, grad_p
-                        y, t_mom = x, 1.0
-                        if f_x < best_f:
-                            best_w, best_f, best_kkt = x, f_x, kkt_p
-                        on_face_optimum = True
-                        break
-                else:
-                    break  # no trial lowered the objective
-        if it == max_iter:
-            break
-        if it == 0:
-            lip = _lipschitz(qp.gram, qp.ridge)
-        it += 1
-
-        grad_y = qp.gradient(y)
-        x_new = project_simplex(y - grad_y / lip)
-        f_new = qp.eval(x_new)
-
-        if f_new > f_x:
-            # Momentum overshoot: restart and take a guarded plain step.
-            grad_x = qp.gradient(x)
-            for _ in range(60):
-                x_new = project_simplex(x - grad_x / lip)
-                f_new = qp.eval(x_new)
-                if f_new <= f_x + noise:
-                    break
-                # A genuine overshoot means the step was too long; a
-                # noise-level uptick must not inflate the step size.
-                lip *= 2.0
-            if f_new > f_x:
-                x_new, f_new = x, f_x
-            y = x_new
-            t_mom = 1.0
+    steps = face_solves = 0
+    on_face_optimum = False
+    for _ in range(4 * n):
+        # Each round tries the current face and the face the gradient
+        # points at.  Every adopted point lowers the objective, so no face
+        # is visited twice.
+        support = x > 0.0
+        nu = float(np.mean(grad_x[support]))
+        entering = ~support & (grad_x < nu)
+        trials = [] if on_face_optimum else [support]
+        if np.any(entering):
+            trials.append(support | entering)
+        for trial in trials:
+            polished, solves = _polish(qp, trial)
+            face_solves += solves
+            if polished is None:
+                continue
+            f_p = qp.eval(polished)
+            if f_p > f_x + noise:
+                continue
+            grad_p = qp.gradient(polished)
+            kkt_p = _kkt_residual(polished, grad_p)
+            if kkt_p <= tol * (1.0 + float(np.linalg.norm(grad_p))):
+                if trace is not None:
+                    trace.append(f_p)
+                return _finish(polished, f_p, steps, face_solves, kkt_p)
+            if f_p < f_x:
+                x, f_x, grad_x = polished, f_p, grad_p
+                on_face_optimum = True
+                break
         else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-            y = x_new + ((t_mom - 1.0) / t_next) * (x_new - x)
-            t_mom = t_next
-
-        x, f_x = x_new, f_new
+            # Backoff drops every negative coordinate at once and can land
+            # on a worse face; a ratio step stops where the first weight
+            # reaches zero instead.  The entering coordinate is tried first;
+            # when its step is blocked, x is not yet optimal on its own face
+            # and the step is taken on that face (Lawson & Hanson's inner
+            # loop).
+            faces = [support]
+            if np.any(entering):
+                j = np.argmin(np.where(entering, grad_x, np.inf))
+                faces.insert(0, support | (np.arange(n) == j))
+            for face in faces:
+                face_solves += 1
+                w = _ratio_step(qp, x, face)
+                if w is not None:
+                    f_w = qp.eval(w)
+                    if f_w < f_x:
+                        break
+            else:
+                break
+            steps += 1
+            x, f_x, grad_x = w, f_w, qp.gradient(w)
+            on_face_optimum = False
         if trace is not None:
             trace.append(f_x)
 
-        grad_x = qp.gradient(x)
-        kkt = _kkt_residual(x, grad_x)
-        if f_x < best_f or (f_x == best_f and kkt < best_kkt):
-            best_w, best_f, best_kkt = x, f_x, kkt
-        if kkt <= tol * (1.0 + float(np.linalg.norm(grad_x))):
-            return _finish(x, f_x, it, face_solves, kkt)
-
-    stalled = _finish(best_w, best_f, max_iter, face_solves, best_kkt)
+    kkt = _kkt_residual(x, grad_x)
     raise SolverStall(
-        f"no convergence in {max_iter} iterations "
-        f"(kkt residual {best_kkt:.3e}, tol {tol:.1e})",
-        stalled,
+        f"no certified point after {steps} ratio steps "
+        f"(kkt residual {kkt:.3e}, tol {tol:.1e})",
+        _finish(x, f_x, steps, face_solves, kkt),
     )

@@ -79,7 +79,6 @@ class CvPlan:
     h: int = 1
     folds: int = 10
     rho_grid: np.ndarray = field(default_factory=uniform_grid)
-    grid_mode: str = "uniform"
     candidates: tuple = ((1, "last_constant"),)
     zeta: float | str = "auto"
     ar_order: int = 4
@@ -97,10 +96,6 @@ class CvPlan:
             raise ValueError("rho_grid must be strictly increasing")
         if grid[0] < 0.0 or grid[-1] > 1.0:
             raise ValueError("rho_grid values must lie in [0, 1]")
-        if self.grid_mode not in ("uniform", "log_lambda"):
-            raise ValueError(f"unknown grid_mode {self.grid_mode!r}")
-        if self.grid_mode == "log_lambda" and (grid[0] != 0.0 or grid[-1] != 1.0):
-            raise ValueError("log_lambda grids must retain the boundaries 0 and 1")
         if not self.candidates:
             raise ValueError("need at least one (q, rule_kind) candidate")
         for q, rule_kind in self.candidates:
@@ -163,13 +158,16 @@ def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResu
     Raises
     ------
     ValueError
-        If the fold layout does not fit the pre-period, or every candidate
-        failed.
+        If an input is not finite, the fold layout does not fit the
+        pre-period, or every candidate failed.
     """
     y_pre = np.asarray(y_pre, dtype=float)
     x_pre = np.asarray(x_pre, dtype=float)
     if y_pre.ndim != 1 or x_pre.ndim != 2 or x_pre.shape[0] != y_pre.size:
         raise ValueError("y_pre must be a vector and x_pre a matching matrix")
+    for name, value in (("y_pre", y_pre), ("x_pre", x_pre)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
     t0 = y_pre.size
     origins = rolling_origins(t0, plan.h, plan.folds)
     grid = plan.rho_grid

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonic_sc import qp, spectral
+from harmonic_sc import baselines, mc, qp, spectral
 
 
 def random_instance(seed, n_obs=12, n_donors=4, ridge=0.0):
@@ -206,12 +206,25 @@ def test_two_donor_instances_match_grid_oracle(seed):
     assert np.max(np.abs(sol.weights - oracle)) <= 2e-4
 
 
-def test_objective_monotone_along_iterations():
-    problem = random_instance(21, n_obs=30, n_donors=8)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_obs=st.integers(2, 30),
+    n_donors=st.integers(2, 12),
+    ridge=st.sampled_from([0.0, 0.3]),
+    keep=st.floats(0.1, 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_objective_monotone_along_iterations(seed, n_obs, n_donors, ridge, keep):
+    problem = random_instance(seed, n_obs=n_obs, n_donors=n_donors, ridge=ridge)
+    rng = np.random.default_rng(seed)
+    start = rng.dirichlet(np.ones(n_donors)) * (rng.random(n_donors) < keep)
+    start[rng.integers(n_donors)] += 1.0  # never the zero vector
     trace: list = []
-    qp.solve(problem, trace=trace)
-    # The starting objective and the polished one at the least.
+    sol = qp.solve(problem, init=start / start.sum(), trace=trace)
+    # The starting objective and the certified one at the least, one value
+    # per point the run moved to in between.
     assert len(trace) >= 2
+    assert trace[-1] == sol.objective
     diffs = np.diff(np.array(trace))
     assert np.all(diffs <= 1e-12 * (1.0 + np.abs(trace[:-1])))
 
@@ -311,23 +324,85 @@ def test_ridge_programs_never_call_svd(monkeypatch):
     for problem in programs:
         cold = qp.solve(problem)
         qp.solve(problem, init=np.roll(cold.weights, 1))
-        # An unreachable tolerance also runs the gradient loop and its
-        # repeated polish.
+        # An unreachable tolerance also runs the ratio steps until the run
+        # stalls.
         with contextlib.suppress(qp.SolverStall):
-            qp.solve(problem, tol=0.0, max_iter=25)
+            qp.solve(problem, tol=0.0)
 
 
-def test_numerically_singular_ridge_face_falls_back_to_gradient_steps():
+def test_numerically_singular_ridge_face_falls_back_to_svd(monkeypatch):
     # Identical donors at a level where the ridge is below the gram's
     # rounding: the restricted Hessian is exactly singular in floating
     # point, and the ridge still decides the optimum (uniform weights).
     problem = qp.SimplexQP(gram=np.full((3, 3), 1e20), linear=np.full(3, -1e20),
                            offset=1e20, ridge=1.0)
+    hessian = 2.0 * (problem.gram + problem.ridge * np.eye(3))
     with pytest.raises(np.linalg.LinAlgError):
-        qp._face_solve(problem, np.arange(3))
+        np.linalg.solve(hessian, np.ones(3))
+    real_svd, svd_calls = np.linalg.svd, []
+
+    def counting_svd(*args, **kwargs):
+        svd_calls.append(1)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    np.testing.assert_allclose(
+        qp._face_solve(problem, np.arange(3)), np.full(3, 1.0 / 3.0), atol=1e-12
+    )
+    assert svd_calls
     sol = qp.solve(problem)
-    assert sol.iterations > 0
     np.testing.assert_allclose(sol.weights, np.full(3, 1.0 / 3.0), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kappa, master_seed, rep", [(0.0, 1, 6), (0.0, 1, 55), (0.0, 1, 98), (2.0, 3, 71)]
+)
+def test_backoff_stalls_finish_in_a_few_ratio_steps(kappa, master_seed, rep):
+    # Plain synthetic control on grid-study panels where block backoff lands
+    # on worse faces and no polished point lowers the objective: the
+    # projected-gradient loop that used to take over spent 20-40 steps on
+    # each; ratio steps certify them in at most three.
+    cfg = mc.GridDgpConfig(kappa=kappa, rho_u=0.0, master_seed=master_seed)
+    view = mc.simulate_grid(cfg, rep)[1].to_view()
+    sol = baselines.fit("sc", view).solution
+    grad = qp.build(view.y_pre, view.x_pre, 0.0).gradient(sol.weights)
+    assert sol.kkt_residual <= 1e-10 * (1.0 + np.linalg.norm(grad))
+    assert 1 <= sol.iterations <= 3
+
+
+def test_blocked_ratio_step_moves_on_the_support_face(monkeypatch):
+    # From this start no polished face lowers the objective, and the
+    # entering coordinate's weight on the enlarged face is negative: the
+    # step toward that face is blocked at alpha = 0.  The start is not yet
+    # optimal on its own face, so the step is taken there instead.
+    problem = random_instance(1331, n_obs=9, n_donors=9, ridge=0.3)
+    start = np.array([0.0, 0.12, 0.0, 0.0, 0.07, 0.14, 0.0, 0.07, 0.6])
+    real_step, faces = qp._ratio_step, []
+
+    def recording_step(problem, x, face):
+        step = real_step(problem, x, face)
+        faces.append((np.nonzero(face)[0].tolist(), step is None))
+        return step
+
+    monkeypatch.setattr(qp, "_ratio_step", recording_step)
+    sol = qp.solve(problem, init=start / start.sum())
+    assert faces[:2] == [([0, 1, 4, 5, 7, 8], True), ([1, 4, 5, 7, 8], False)]
+    assert sol.iterations >= 1
+    np.testing.assert_allclose(sol.weights, qp.solve(problem).weights, atol=1e-10)
+
+
+def test_dust_weights_of_a_start_are_inactive():
+    # A start with weights far below 1e-12: a ratio step blocked by one
+    # would move by less than the objective's rounding, so the start's dust
+    # is zeroed, as in every point the run moves to.
+    rng = np.random.default_rng(35)
+    c = rng.normal(size=(40, 40))
+    x = np.cumsum(rng.normal(size=(40, 9)), axis=0)
+    problem = qp.build(c @ (30.0 * rng.normal(size=40)), c @ x, 50.0)
+    start = rng.dirichlet(np.full(9, 0.05))
+    assert 0.0 < start.min() < 1e-12
+    sol = qp.solve(problem, init=start)
+    np.testing.assert_allclose(sol.weights, qp.solve(problem).weights, atol=1e-10)
 
 
 @pytest.mark.parametrize("ridge", [0.0, 0.4])
@@ -363,21 +438,22 @@ def test_solution_satisfies_reported_kkt():
 
 
 def test_stall_raises_with_best_iterate():
-    # A zero tolerance is out of reach for any polish, so the run must
-    # exhaust its budget.
+    # A zero tolerance is out of reach for any polish, so the run ends in
+    # a ratio step that cannot lower the objective.
     problem = random_instance(71, n_obs=40, n_donors=10)
     with pytest.raises(qp.SolverStall) as excinfo:
-        qp.solve(problem, tol=0.0, max_iter=3)
+        qp.solve(problem, tol=0.0)
     best = excinfo.value.solution
+    assert best.weights.min() >= 0.0
     assert best.weights.sum() == pytest.approx(1.0, abs=1e-10)
-    assert best.iterations == 3
+    assert best.objective == pytest.approx(problem.eval(best.weights), rel=1e-12)
     assert np.isfinite(best.objective)
     assert np.isfinite(best.kkt_residual)
 
 
 def test_opening_polish_finishes_the_run():
     problem = random_instance(71, n_obs=40, n_donors=10)
-    sol = qp.solve(problem, max_iter=3)
+    sol = qp.solve(problem)
     assert sol.iterations == 0
     grad = problem.gradient(sol.weights)
     assert sol.kkt_residual <= 1e-10 * (1.0 + np.linalg.norm(grad))

@@ -96,8 +96,6 @@ def test_plan_rejects_bad_grids():
         tuning.CvPlan(rho_grid=np.array([0.0, 0.5, 0.5, 1.0]))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         tuning.CvPlan(rho_grid=np.array([0.0, 1.5]))
-    with pytest.raises(ValueError, match="boundaries"):
-        tuning.CvPlan(rho_grid=np.array([0.1, 0.9]), grid_mode="log_lambda")
 
 
 def test_plan_rejects_bad_candidates():
@@ -116,8 +114,6 @@ def test_plan_rejects_bad_scalars():
         tuning.CvPlan(zeta="automatic")
     with pytest.raises(ValueError, match="zeta"):
         tuning.CvPlan(zeta=-0.5)
-    with pytest.raises(ValueError, match="grid_mode"):
-        tuning.CvPlan(grid_mode="dyadic")
 
 
 def test_plan_rejects_non_finite_zeta():
@@ -358,6 +354,24 @@ def test_input_shape_validation():
         tuning.cross_validate(np.ones(10), np.ones((9, 3)), plan)
     with pytest.raises(ValueError, match="matching"):
         tuning.cross_validate(np.ones((10, 1)), np.ones((10, 3)), plan)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_is_rejected_by_name(bad):
+    rng = np.random.default_rng(37)
+    y_pre, x_pre, _, _ = random_panel(rng, t0=30, n_donors=4)
+    plan = tuning.CvPlan(h=2, folds=3)
+    # Inside every training window, and only in the last validation window
+    # (which no fold trains on).
+    for row in (3, -1):
+        broken = y_pre.copy()
+        broken[row] = bad
+        with pytest.raises(ValueError, match="y_pre must be finite"):
+            tuning.cross_validate(broken, x_pre, plan)
+        broken = x_pre.copy()
+        broken[row, 2] = bad
+        with pytest.raises(ValueError, match="x_pre must be finite"):
+            tuning.cross_validate(y_pre, broken, plan)
 
 
 def test_fixed_zeta_differs_from_auto():
