@@ -53,7 +53,7 @@ def _zero_if_dust(stripped: np.ndarray, original: np.ndarray) -> np.ndarray:
     it keeps such degenerate problems exactly flat, where the solver returns
     its uniform starting point.
     """
-    if np.max(np.abs(stripped)) <= 1e-12 * (1.0 + np.max(np.abs(original))):
+    if np.max(np.abs(stripped)) <= 1e-12 * np.max(np.abs(original)):
         return np.zeros_like(stripped)
     return stripped
 

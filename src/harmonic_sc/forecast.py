@@ -77,7 +77,7 @@ def null_continuation(x: np.ndarray, q: int, horizon: int) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ForecastError("null path must be finite")
     slack = np.abs(np.diff(x, n=q, axis=0)).max(axis=0)
-    if (slack > 1e-6 * (1.0 + np.abs(x).max(axis=0))).any():
+    if (slack > 1e-6 * np.abs(x).max(axis=0)).any():
         raise ForecastError(
             f"input is not in the order-{q} null space "
             f"(difference residual {slack.max():.3e})"
@@ -284,7 +284,7 @@ def fit_composed(
     # floating-point dust; fitting an autoregression to that dust produces
     # arbitrary coefficients (and spurious nonstationarity warnings), so a
     # negligible remainder is treated as exactly zero.
-    if np.abs(rest).max() <= 1e-12 * (1.0 + np.abs(r_pre).max()):
+    if np.abs(rest).max() <= 1e-12 * np.abs(r_pre).max():
         rest = np.zeros_like(rest)
     rule = fit_rule(rule_kind, q, rest, horizon, order=order, lags=lags)
     return ComposedForecaster(rule=rule, basis=basis)

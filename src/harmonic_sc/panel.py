@@ -15,6 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+#: Largest outcome magnitude accepted: the estimators sum squares of levels
+#: (the weight program's gram, ``zeta**2 * t0``, squared CV errors), and
+#: 1e100 keeps each sum far below the float64 overflow at 1.8e308.
+MAX_LEVEL = 1e100
+
+
 class PanelDataError(ValueError):
     """Raised when panel input fails validation (shape, gaps, duplicates)."""
 
@@ -58,10 +64,11 @@ class Panel:
                 f"need at least 2 donors (got {n_units - 1}); a donor pool of "
                 "one column cannot form a nondegenerate simplex"
             )
-        if not np.all(np.isfinite(y)):
-            bad = np.argwhere(~np.isfinite(y))[0]
+        if not np.all(np.abs(y) <= MAX_LEVEL):  # NaN compares false
+            t, j = np.argwhere(~(np.abs(y) <= MAX_LEVEL))[0]
             raise PanelDataError(
-                f"missing or non-finite outcome at (time={bad[0]}, unit={bad[1]})"
+                f"outcome {y[t, j]:.6g} at (time={t}, unit={j}) is not finite "
+                f"or exceeds {MAX_LEVEL:.0e} in magnitude"
             )
         if not 0 < self.t0 < t_total:
             raise PanelDataError(

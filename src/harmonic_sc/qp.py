@@ -21,16 +21,21 @@ rho) finishes the run in a face solve or two, and even the uniform start
 usually does.  With ``ridge > 0`` (every estimator program and the SDID
 unit weights) the restricted Hessian is positive definite and a face costs
 one LAPACK solve; only ``ridge == 0`` programs, whose faces can be flat,
-pay for an SVD pseudo-inverse.  A round that lowers nothing (backoff can
-land on a worse face) ends in the ratio step of Lawson & Hanson's inner
-loop instead: a move toward one face's solution that stops where the
-first weight reaches zero, so every round lowers the objective or ends
-the run.
+pay for a least-squares solve (``np.linalg.lstsq``).  A round that lowers
+nothing (backoff can land on a worse face) ends in the ratio step of
+Lawson & Hanson's inner loop instead: a move toward one face's solution
+that stops where the first weight reaches zero, so every round lowers the
+objective or ends the run.
+
+Every tolerance, and the reported KKT residual, is relative to
+:attr:`SimplexQP.scale`, so data in other units solve alike (Gill, Murray &
+Wright, 1981, *Practical Optimization*, treat scaling as part of the
+problem).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,13 +58,16 @@ class SimplexQP:
 
     ``gram`` excludes the ridge term; ``offset`` makes the objective equal
     the original residual norm, so values are directly comparable across
-    candidate designs.
+    candidate designs.  ``scale``, the largest of ``|offset|``,
+    ``max|gram|``, ``2 max|linear|`` and ``ridge`` (1 if all are 0), is the
+    magnitude of the terms the objective sums.
     """
 
     gram: np.ndarray
     linear: np.ndarray
     offset: float
     ridge: float
+    scale: float = field(init=False)
 
     def __post_init__(self) -> None:
         g = np.asarray(self.gram, dtype=float)
@@ -73,12 +81,14 @@ class SimplexQP:
         for name, value in (("gram", g), ("linear", l), ("offset", self.offset)):
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
-        scale = max(float(np.max(np.abs(g))), 1.0)
+        if not np.isfinite(self.ridge) or self.ridge < 0:
+            raise ValueError(f"ridge must be finite and nonnegative, got {self.ridge}")
+        scale = float(max(abs(self.offset), np.max(np.abs(g)),
+                          2.0 * np.max(np.abs(l)), self.ridge)) or 1.0
         asym = float(np.max(np.abs(g - g.T)))
         if asym > 1e-10 * scale:
             raise ValueError(f"gram asymmetry {asym:.3e} exceeds tolerance")
-        if not np.isfinite(self.ridge) or self.ridge < 0:
-            raise ValueError(f"ridge must be finite and nonnegative, got {self.ridge}")
+        object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "gram", (g + g.T) / 2.0)
         object.__setattr__(self, "linear", l)
 
@@ -106,7 +116,8 @@ class QPSolution:
 
     ``iterations`` counts ratio steps (0 when the opening polish finished
     the run) and ``face_solves`` the linear solves of the active-set
-    method, backoff rounds and ratio steps included.
+    method, backoff rounds and ratio steps included.  ``kkt_residual`` is
+    the distance from stationarity relative to :attr:`SimplexQP.scale`.
     """
 
     weights: np.ndarray
@@ -145,8 +156,8 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def _kkt_residual(w: np.ndarray, grad: np.ndarray) -> float:
-    """Distance from simplex stationarity.
+def _kkt_residual(qp: SimplexQP, w: np.ndarray, grad: np.ndarray) -> float:
+    """Distance from simplex stationarity, relative to ``qp.scale``.
 
     On the support the gradient must be a common constant (the multiplier);
     off the support it must not undercut that constant.
@@ -158,7 +169,7 @@ def _kkt_residual(w: np.ndarray, grad: np.ndarray) -> float:
     res = float(np.max(np.abs(grad[active] - nu)))
     if not np.all(active):
         res = max(res, float(np.max(nu - grad[~active])), 0.0)
-    return res
+    return res / qp.scale
 
 
 def _face_solve(qp: SimplexQP, idx: np.ndarray) -> np.ndarray:
@@ -171,9 +182,9 @@ def _face_solve(qp: SimplexQP, idx: np.ndarray) -> np.ndarray:
     the multiplier (a Schur complement of one entry).  For ``ridge == 0``
     the restricted gram may be singular on a flat face, as may ``H`` in
     floating point when the ridge is below the gram's rounding, so the
-    bordered system is solved by SVD pseudo-inverse, which picks the face's
-    minimum-norm point; its border is scaled to the size of ``H`` so the
-    pseudo-inverse cutoff cannot drop the border's singular value.
+    bordered system is solved by ``np.linalg.lstsq``, whose minimum-norm
+    solution picks the face's minimum-norm point; its border is scaled to
+    the size of ``H`` so the singular-value cutoff cannot drop the border's.
     """
     m = idx.size
     h = 2.0 * qp.gram[np.ix_(idx, idx)]
@@ -185,37 +196,15 @@ def _face_solve(qp: SimplexQP, idx: np.ndarray) -> np.ndarray:
         try:
             w0, v = np.linalg.solve(h, rhs).T
         except np.linalg.LinAlgError:
-            pass  # singular in floating point: solved by SVD below
+            pass  # singular in floating point: solved by lstsq below
         else:
             return w0 - ((w0.sum() - 1.0) / v.sum()) * v
-    c = max(1.0, float(np.max(np.abs(h))))
+    c = float(np.max(np.abs(h))) or 1.0  # any border does when H is zero
     kkt = np.zeros((m + 1, m + 1))
     kkt[:m, :m] = h
     kkt[:m, m] = kkt[m, :m] = c
     rhs = np.concatenate([-2.0 * qp.linear[idx], [c]])
-    u, s, vt = np.linalg.svd(kkt)
-    keep = s > np.finfo(float).eps * (m + 1) * s[0]
-    u, vt, s_inv = u[:, keep], vt[keep], 1.0 / s[keep]
-
-    def pinv_solve(b: np.ndarray) -> np.ndarray:
-        return vt.T @ (s_inv * (u.T @ b))
-
-    sol = pinv_solve(rhs)
-    # Iterative refinement with the residual accumulated in extended
-    # precision: the plain pseudo-inverse solve leaves the support gradient
-    # dispersed by eps * cond(H) * ||H||, more than the stationarity test
-    # tolerates on large-scale instances.
-    kkt_l = kkt.astype(np.longdouble)
-    rhs_l = rhs.astype(np.longdouble)
-    for _ in range(2):
-        if not np.all(np.isfinite(sol)):
-            break
-        resid = rhs_l - kkt_l @ sol.astype(np.longdouble)
-        corr = pinv_solve(resid.astype(np.float64))
-        if not np.all(np.isfinite(corr)) or not np.any(corr):
-            break
-        sol = sol + corr
-    return sol[:m]
+    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:m]
 
 
 def _polish(qp: SimplexQP, support: np.ndarray) -> tuple[np.ndarray | None, int]:
@@ -259,11 +248,11 @@ def _polish(qp: SimplexQP, support: np.ndarray) -> tuple[np.ndarray | None, int]
 def _ratio_step(qp: SimplexQP, x: np.ndarray, face: np.ndarray) -> np.ndarray | None:
     """Move from ``x`` toward the solution of ``face`` until a weight hits zero.
 
-    ``face`` must contain the support of ``x``.  The step length is the
-    largest ``alpha <= 1`` that keeps ``x + alpha (z - x)`` nonnegative, so
-    by convexity the objective does not rise.  Returns None when the face
-    cannot be solved or the step is blocked (``alpha == 0``: a zero weight
-    of ``x`` would turn negative).
+    The step length is the largest ``alpha <= 1`` that keeps
+    ``x + alpha (z - x)`` nonnegative; when ``face`` contains the support
+    of ``x``, the objective does not rise, by convexity.  Returns None when
+    the face cannot be solved or the step is blocked (``alpha == 0``: a
+    zero weight of ``x`` would turn negative).
     """
     idx = np.nonzero(face)[0]
     direction = -x
@@ -319,14 +308,15 @@ def solve(
     up to 1 that keeps every weight nonnegative.  By convexity that step
     never raises the objective.  When it is blocked at ``alpha == 0`` (the
     entering weight would start negative) or lowers nothing, the step is
-    taken on the support's face alone.  A run the opening rounds finish
+    taken on the support's face alone, and then toward the support's face
+    without its steepest coordinate.  A run the opening rounds finish
     reports ``iterations == 0``.
 
     Parameters
     ----------
     tol : float
-        Stationarity target; the run stops when the KKT residual drops
-        below ``tol * (1 + ||gradient||)``.
+        Stationarity target; the run stops when the relative KKT residual
+        drops below ``tol * (1 + ||gradient|| / scale)``.
     init : ndarray, optional
         Starting point, projected onto the simplex unless it already lies
         on it (to within 1e-12 in the sum); defaults to the uniform
@@ -359,16 +349,10 @@ def solve(
         if np.any(dust):
             x[dust] = 0.0
             x /= x.sum()
-    # The objective is evaluated by cancelling terms of this magnitude, so
-    # differences below ``noise`` are indistinguishable from rounding; the
-    # KKT residual, not the objective, discriminates near the optimum.
-    obj_scale = (
-        abs(qp.offset)
-        + float(np.max(np.abs(qp.gram)))
-        + 2.0 * float(np.max(np.abs(qp.linear)))
-        + qp.ridge
-    )
-    noise = 1e-13 * (1.0 + obj_scale)
+    # The objective cancels terms of magnitude ``qp.scale``, so differences
+    # below ``noise`` are indistinguishable from rounding; the KKT residual,
+    # not the objective, discriminates near the optimum.
+    noise = 1e-12 * qp.scale
 
     f_x = qp.eval(x)
     grad_x = qp.gradient(x)
@@ -395,8 +379,8 @@ def solve(
             if f_p > f_x + noise:
                 continue
             grad_p = qp.gradient(polished)
-            kkt_p = _kkt_residual(polished, grad_p)
-            if kkt_p <= tol * (1.0 + float(np.linalg.norm(grad_p))):
+            kkt_p = _kkt_residual(qp, polished, grad_p)
+            if kkt_p <= tol * (1.0 + float(np.linalg.norm(grad_p)) / qp.scale):
                 if trace is not None:
                     trace.append(f_p)
                 return _finish(polished, f_p, steps, face_solves, kkt_p)
@@ -410,11 +394,16 @@ def solve(
             # reaches zero instead.  The entering coordinate is tried first;
             # when its step is blocked, x is not yet optimal on its own face
             # and the step is taken on that face (Lawson & Hanson's inner
-            # loop).
+            # loop).  A flat face (near-duplicate donors at ridge 0) can leave
+            # its minimum-norm point with a spread support gradient; moving
+            # off the steepest coordinate then lowers the objective.
             faces = [support]
             if np.any(entering):
                 j = np.argmin(np.where(entering, grad_x, np.inf))
                 faces.insert(0, support | (np.arange(n) == j))
+            if np.count_nonzero(support) > 1:
+                steepest = np.argmax(np.where(support, grad_x, -np.inf))
+                faces.append(support & (np.arange(n) != steepest))
             for face in faces:
                 face_solves += 1
                 w = _ratio_step(qp, x, face)
@@ -430,9 +419,9 @@ def solve(
         if trace is not None:
             trace.append(f_x)
 
-    kkt = _kkt_residual(x, grad_x)
+    kkt = _kkt_residual(qp, x, grad_x)
     raise SolverStall(
         f"no certified point after {steps} ratio steps "
-        f"(kkt residual {kkt:.3e}, tol {tol:.1e})",
+        f"(relative kkt residual {kkt:.3e}, tol {tol:.1e})",
         _finish(x, f_x, steps, face_solves, kkt),
     )

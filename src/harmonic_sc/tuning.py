@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from harmonic_sc import forecast, hsc, qp, spectral
+from harmonic_sc.panel import MAX_LEVEL
 
 #: Default grid: 21 equally spaced mixing weights.
 DEFAULT_GRID_SIZE = 21
@@ -149,25 +150,25 @@ def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResu
     Only pre-treatment arrays are accepted; there is no way to hand this
     function a post-treatment observation.
 
-    CV values within ``(1e-10 * data scale)**2`` of a row's minimum are
-    treated as tied: squared forecast errors below that level are solver
-    round-off, not signal, and on an exact-fit panel the entries differ only
-    at that level.  Ties resolve to the largest rho; an earlier candidate is
-    displaced only by an improvement larger than the same floor.
+    CV values within ``(1e-10 * level)**2`` of a row's minimum, ``level``
+    being ``max|y_pre| + max|x_pre|``, are treated as tied: squared forecast
+    errors below that are solver round-off, not signal, and on an exact-fit
+    panel the entries differ only at that level.  Ties resolve to the largest
+    rho; an earlier candidate is displaced only by a larger improvement.
 
     Raises
     ------
     ValueError
-        If an input is not finite, the fold layout does not fit the
-        pre-period, or every candidate failed.
+        If an input is not finite or exceeds ``panel.MAX_LEVEL``, the fold
+        layout does not fit the pre-period, or every candidate failed.
     """
     y_pre = np.asarray(y_pre, dtype=float)
     x_pre = np.asarray(x_pre, dtype=float)
     if y_pre.ndim != 1 or x_pre.ndim != 2 or x_pre.shape[0] != y_pre.size:
         raise ValueError("y_pre must be a vector and x_pre a matching matrix")
     for name, value in (("y_pre", y_pre), ("x_pre", x_pre)):
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite")
+        if not np.all(np.abs(value) <= MAX_LEVEL):  # NaN compares false
+            raise ValueError(f"{name} must be finite and within {MAX_LEVEL:.0e}")
     t0 = y_pre.size
     origins = rolling_origins(t0, plan.h, plan.folds)
     grid = plan.rho_grid
@@ -213,8 +214,8 @@ def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResu
 
     table = per_fold.mean(axis=(1, 2))  # NaN rows stay NaN
 
-    scale = 1.0 + float(np.max(np.abs(y_pre))) + float(np.max(np.abs(x_pre)))
-    tie_floor = (1e-10 * scale) ** 2
+    level = float(np.max(np.abs(y_pre))) + float(np.max(np.abs(x_pre)))
+    tie = 1e-10 * level  # compared with sqrt(excess): no level is squared
     best = None  # (value at selected grid point, candidate index, grid index)
     best_min = np.inf
     for ci in range(n_cand):
@@ -222,8 +223,8 @@ def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResu
         if not np.all(np.isfinite(row)):
             continue
         row_min = float(np.min(row))
-        gi = int(np.nonzero(row <= row_min + tie_floor)[0][-1])
-        if best is None or row_min < best_min - tie_floor:
+        gi = int(np.nonzero(np.sqrt(row - row_min) <= tie)[0][-1])
+        if best is None or np.sqrt(max(best_min - row_min, 0.0)) > tie:
             best = (float(row[gi]), ci, gi)
             best_min = row_min
     if best is None:

@@ -262,6 +262,65 @@ def test_sdid_counterfactual_formula():
     assert fit.aux["zeta"] == pytest.approx(hsc.auto_zeta(view.x_pre, view.t_post))
 
 
+def exact_fit_views(count, seed=1):
+    """Panels whose treated unit is an exact simplex mix of four donors."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        x = 50.0 + np.cumsum(rng.normal(size=(65, 12)), axis=0)
+        w = np.zeros(12)
+        w[rng.choice(12, size=4, replace=False)] = rng.dirichlet(np.ones(4))
+        y = x @ w
+        yield PrePostView(y_pre=y[:60], x_pre=x[:60], y_post=y[60:], x_post=x[60:]), w
+
+
+def test_sc_certifies_on_exact_fit_panels():
+    # At an exact fit the gradient vanishes but its rounding does not: only a
+    # certificate relative to the program's scale can be met.
+    for view, w in exact_fit_views(100):
+        fit = baselines.fit("sc", view)
+        assert_allclose(fit.weights, w, rtol=0.0, atol=1e-6)
+        assert fit.solution.kkt_residual <= 1e-9
+
+
+def hostile_view(case, seed=23):
+    """A six-donor panel (levels near 10) bent into one degenerate design."""
+    rng = np.random.default_rng(seed)
+    t0 = {"shortest_pre_period_q1": 3, "shortest_pre_period_q2": 4}.get(case, 30)
+    t_total = t0 + 4
+    x = 10.0 + np.cumsum(rng.normal(size=(t_total, 6)), axis=0)
+    if case == "constant_donors":
+        x[:, :2] = x[0, :2]
+    elif case == "near_duplicate_donors":
+        x[:, 1] = x[:, 0] * (1.0 + 1e-9 * rng.normal(size=t_total))
+    elif case == "levels_1e8":
+        x += 1e8
+    y = x @ rng.dirichlet(np.ones(6)) + 0.3 * rng.normal(size=t_total)
+    return PrePostView(y_pre=y[:t0], x_pre=x[:t0], y_post=y[t0:], x_post=x[t0:])
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["shortest_pre_period_q1", "shortest_pre_period_q2", "constant_donors",
+     "near_duplicate_donors", "levels_1e8"],
+)
+def test_every_estimator_certifies_on_degenerate_designs(case):
+    # t0 = q + 2 is the shortest pre-period the estimator accepts; constant
+    # donors make zero-ridge programs flat along their columns.
+    view = hostile_view(case)
+    q = 2 if case.endswith("q2") else 1
+    fits = [baselines.fit(m, view) for m in baselines.METHODS]
+    fits += [
+        hsc.fit(view, hsc.HscConfig(rho=rho, q=q, zeta=zeta))
+        for rho in (0.0, 0.5, 1.0)
+        for zeta in ("auto", 0.0)
+    ]
+    for fit in fits:
+        assert fit.weights.min() >= 0.0
+        assert fit.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert fit.solution.kkt_residual <= 1e-9
+        assert np.all(np.isfinite(fit.counterfactual))
+
+
 # ---------------------------------------------------------------------------
 # scale equivariance of every weight program
 
@@ -298,7 +357,7 @@ def test_weights_and_selection_are_scale_equivariant():
         return weights, (cv.best_rho, cv.best_candidate)
 
     weights, selection = fits(base)
-    for scale in (1e2, 1e4):
+    for scale in (1e-8, 1e-4, 1e2, 1e4, 1e8):
         scaled = PrePostView(
             y_pre=scale * base.y_pre, x_pre=scale * base.x_pre,
             y_post=scale * base.y_post, x_post=scale * base.x_post,

@@ -8,8 +8,11 @@ import pytest
 from harmonic_sc import baselines, cli, hsc, load_csv, mc, split
 
 
-def write_panel_csv(path, t_total=14, noise=0.05, seed=0):
-    """Toy long-format panel: treated unit A is a fixed donor combination."""
+def write_panel_csv(path, t_total=14, noise=0.05, seed=0, scale=1.0):
+    """Toy long-format panel: treated unit A is a fixed donor combination.
+
+    Every outcome is multiplied by ``scale``.
+    """
     rng = np.random.default_rng(seed)
     t = np.arange(1, t_total + 1, dtype=float)
     donors = {
@@ -25,7 +28,7 @@ def write_panel_csv(path, t_total=14, noise=0.05, seed=0):
         writer.writerow(["unit", "time", "outcome"])
         for label, series in [("A", treated)] + sorted(donors.items()):
             for period, value in zip(range(1, t_total + 1), series):
-                writer.writerow([label, period, repr(float(value))])
+                writer.writerow([label, period, repr(scale * float(value))])
     return path
 
 
@@ -128,6 +131,18 @@ def test_estimate_non_finite_zeta_names_zeta(tmp_path, capsys):
         assert "zeta must be finite" in capsys.readouterr().err
 
 
+def test_estimate_overflowing_levels_name_the_cell(tmp_path, capsys):
+    panel_csv = write_panel_csv(tmp_path / "panel.csv", scale=1e200)
+    code = cli.main(
+        ["estimate", "--panel", str(panel_csv), "--treated", "A", "--t0", "10",
+         "--rho", "0.5", "--out", str(tmp_path / "x")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "outcome 2.6076e+200 at (time=0, unit=0)" in err
+    assert "gram" not in err
+
+
 # ---------------------------------------------------------------------------
 # cv
 
@@ -163,6 +178,17 @@ def test_cv_infeasible_folds_exit(tmp_path, capsys):
     )
     assert code == 1
     assert "largest feasible fold count" in capsys.readouterr().err
+
+
+def test_cv_overflowing_levels_exit(tmp_path, capsys):
+    # Squares of levels near 1e301 overflow: an input error, not a traceback.
+    panel_csv = write_panel_csv(tmp_path / "panel.csv", scale=1e301)
+    code = cli.main(
+        ["cv", "--panel", str(panel_csv), "--treated", "A", "--t0", "10",
+         "--folds", "3", "--out", str(tmp_path / "cv")]
+    )
+    assert code == 1
+    assert "exceeds 1e+100 in magnitude" in capsys.readouterr().err
 
 
 def test_cv_log_lambda_grid(tmp_path):

@@ -100,6 +100,15 @@ def test_panel_rejects_nan():
         Panel(outcomes=y, t0=2, unit_labels=["a", "b", "c"])
 
 
+def test_panel_rejects_overflowing_levels():
+    y = np.ones((4, 3))
+    y[3, 2] = -2e100
+    with pytest.raises(PanelDataError, match=r"-2e\+100 at \(time=3, unit=2\)"):
+        Panel(outcomes=y, t0=2, unit_labels=["a", "b", "c"])
+    y[3, 2] = 1e100  # the largest accepted magnitude
+    Panel(outcomes=y, t0=2, unit_labels=["a", "b", "c"])
+
+
 def test_panel_rejects_single_donor():
     with pytest.raises(PanelDataError, match="at least 2 donors"):
         Panel(outcomes=np.ones((4, 2)), t0=2, unit_labels=["a", "b"])

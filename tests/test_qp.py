@@ -297,6 +297,24 @@ def test_face_solve_matches_svd_oracle(seed, scale):
         )
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e8])
+def test_zero_ridge_face_solve_matches_svd_oracle(scale):
+    # lstsq's minimum-norm solution of the bordered system, including on a
+    # face flat along a duplicated donor, is the oracle's point.
+    rng = np.random.default_rng(7)
+    x = np.cumsum(rng.normal(size=(30, 12)), axis=0)
+    x[:, 11] = x[:, 3]
+    y = x @ rng.dirichlet(np.ones(12)) + rng.normal(size=30)
+    problem = qp.build(scale * y, scale * x, ridge=0.0)
+    for idx in (np.array([2]), np.array([0, 4, 7, 9]), np.arange(12)):
+        w = qp._face_solve(problem, idx)
+        assert w.sum() == pytest.approx(1.0, abs=1e-10)
+        np.testing.assert_allclose(
+            w, svd_face_solve(problem, idx), rtol=0.0,
+            atol=1e-9 * (1.0 + np.max(np.abs(w))),
+        )
+
+
 def test_iterated_polish_finishes_a_distant_warm_start():
     # Warm-started from the rho=0 solution, the rho=1 program needed 20
     # projected-gradient steps when the opening polish stopped after one
@@ -316,11 +334,13 @@ def test_iterated_polish_finishes_a_distant_warm_start():
 
 def test_ridge_programs_never_call_svd(monkeypatch):
     def no_svd(*args, **kwargs):
-        raise AssertionError("np.linalg.svd called on a ridge > 0 program")
+        raise AssertionError("an SVD solver called on a ridge > 0 program")
 
     programs = [random_instance(s, n_obs=30, n_donors=10, ridge=0.2) for s in range(6)]
     programs += [spectral_program(s, rho) for s in range(3) for rho in (0.0, 0.5, 1.0)]
+    # lstsq is LAPACK's SVD-based least-squares driver (gelsd).
     monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "lstsq", no_svd)
     for problem in programs:
         cold = qp.solve(problem)
         qp.solve(problem, init=np.roll(cold.weights, 1))
@@ -330,7 +350,7 @@ def test_ridge_programs_never_call_svd(monkeypatch):
             qp.solve(problem, tol=0.0)
 
 
-def test_numerically_singular_ridge_face_falls_back_to_svd(monkeypatch):
+def test_numerically_singular_ridge_face_falls_back_to_lstsq(monkeypatch):
     # Identical donors at a level where the ridge is below the gram's
     # rounding: the restricted Hessian is exactly singular in floating
     # point, and the ridge still decides the optimum (uniform weights).
@@ -339,17 +359,17 @@ def test_numerically_singular_ridge_face_falls_back_to_svd(monkeypatch):
     hessian = 2.0 * (problem.gram + problem.ridge * np.eye(3))
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(hessian, np.ones(3))
-    real_svd, svd_calls = np.linalg.svd, []
+    real_lstsq, lstsq_calls = np.linalg.lstsq, []
 
-    def counting_svd(*args, **kwargs):
-        svd_calls.append(1)
-        return real_svd(*args, **kwargs)
+    def counting_lstsq(*args, **kwargs):
+        lstsq_calls.append(1)
+        return real_lstsq(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
     np.testing.assert_allclose(
         qp._face_solve(problem, np.arange(3)), np.full(3, 1.0 / 3.0), atol=1e-12
     )
-    assert svd_calls
+    assert lstsq_calls
     sol = qp.solve(problem)
     np.testing.assert_allclose(sol.weights, np.full(3, 1.0 / 3.0), atol=1e-12)
 
@@ -391,6 +411,20 @@ def test_blocked_ratio_step_moves_on_the_support_face(monkeypatch):
     np.testing.assert_allclose(sol.weights, qp.solve(problem).weights, atol=1e-10)
 
 
+def test_near_duplicate_donors_certify_at_zero_ridge():
+    # Donors 0 and 1 differ by 1e-7 relative: their face is flat to
+    # rounding, its minimum-norm point leaves their gradients apart, and
+    # only the step toward the face without the steeper one lowers the
+    # objective.
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        x = 10.0 + np.cumsum(rng.normal(size=(30, 6)), axis=0)
+        x[:, 1] = x[:, 0] * (1.0 + 1e-7 * rng.normal(size=30))
+        y = x @ rng.dirichlet(np.ones(6)) + 0.3 * rng.normal(size=30)
+        sol = qp.solve(qp.build(y, x, 0.0))
+        assert sol.kkt_residual <= 1e-9
+
+
 def test_dust_weights_of_a_start_are_inactive():
     # A start with weights far below 1e-12: a ratio step blocked by one
     # would move by less than the objective's rounding, so the start's dust
@@ -411,7 +445,7 @@ def test_solve_is_scale_equivariant(ridge):
     x = 10.0 + np.cumsum(rng.normal(size=(40, 15)), axis=0)
     y = x @ rng.dirichlet(np.ones(15)) + rng.normal(size=40)
     base = qp.solve(qp.build(y, x, ridge))
-    for scale in (1e2, 1e4):
+    for scale in (1e-8, 1e-4, 1e2, 1e4, 1e8):
         scaled = qp.solve(qp.build(scale * y, scale * x, ridge * scale**2))
         np.testing.assert_allclose(scaled.weights, base.weights, rtol=0.0, atol=1e-9)
 

@@ -356,6 +356,32 @@ def test_input_shape_validation():
         tuning.cross_validate(np.ones((10, 1)), np.ones((10, 3)), plan)
 
 
+@pytest.mark.parametrize("c", [1e-8, 1e-6, 1e8])
+def test_cv_table_is_scale_equivariant(c):
+    # Squared errors scale with c**2 and the selection does not move: no
+    # tolerance of the weight programs or the tie rule is absolute.
+    rng = np.random.default_rng(3)
+    y_pre, x_pre, _, _ = random_panel(rng, t0=60, n_donors=20, noise=0.5)
+    plan = tuning.CvPlan(h=4, folds=8)
+    base = tuning.cross_validate(y_pre, x_pre, plan)
+    scaled = tuning.cross_validate(c * y_pre, c * x_pre, plan)
+    assert_allclose(scaled.table, c * c * base.table, rtol=1e-12, atol=0.0)
+    assert (scaled.best_rho, scaled.best_candidate) == (
+        base.best_rho, base.best_candidate
+    )
+
+
+def test_overflowing_levels_are_rejected_by_name():
+    # Every sum of squares of levels near 1e301 overflows: an input error.
+    rng = np.random.default_rng(37)
+    y_pre, x_pre, _, _ = random_panel(rng, t0=30, n_donors=4)
+    plan = tuning.CvPlan(h=2, folds=3)
+    with pytest.raises(ValueError, match="y_pre must be finite and within 1e\\+100"):
+        tuning.cross_validate(1e301 * y_pre, x_pre, plan)
+    with pytest.raises(ValueError, match="x_pre must be finite and within 1e\\+100"):
+        tuning.cross_validate(y_pre, 1e301 * x_pre, plan)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_input_is_rejected_by_name(bad):
     rng = np.random.default_rng(37)
