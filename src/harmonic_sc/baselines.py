@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from harmonic_sc import hsc, qp
-from harmonic_sc.panel import PrePostView
+from harmonic_sc.panel import PrePostView, check_levels
 
 METHODS = ("sc", "sc_int", "sc_int_trend", "diff_sc", "sdid")
 
@@ -183,7 +183,8 @@ def fit(method: str, view: PrePostView) -> BaselineFit:
     """Fit the baseline ``method`` (one of :data:`METHODS`) at its defaults.
 
     The fitters are looked up on this module at call time, so a patched
-    ``fit_*`` attribute is the one that runs.
+    ``fit_*`` attribute is the one that runs.  A block of the view that is
+    not finite or exceeds ``panel.MAX_LEVEL`` is rejected by name first.
     """
     fitters = {
         "sc": fit_sc,
@@ -194,4 +195,7 @@ def fit(method: str, view: PrePostView) -> BaselineFit:
     }
     if method not in fitters:
         raise ValueError(f"unknown baseline method {method!r}")
+    check_levels(
+        y_pre=view.y_pre, x_pre=view.x_pre, y_post=view.y_post, x_post=view.x_post
+    )
     return fitters[method](view)

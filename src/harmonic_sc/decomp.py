@@ -127,10 +127,10 @@ def oracle_weights(latent: LatentPanel, q: int, zeta: float) -> np.ndarray:
     """
     basis = spectral.spectral_basis(latent.t0, q)
     sig = latent.signal[: latent.t0]
-    sol, _, _ = next(
-        hsc.fit_path(sig[:, 0], sig[:, 1:], basis, (1.0,), zeta * zeta * latent.t0)
+    _, weights, _ = hsc.fit_path(
+        sig[:, 0], sig[:, 1:], basis, (1.0,), zeta * zeta * latent.t0
     )
-    return sol.weights
+    return weights[0]
 
 
 @dataclass(frozen=True)

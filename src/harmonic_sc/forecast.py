@@ -12,8 +12,15 @@ without error, so any of the rules below — holding the last value, an
 ARIMA(1,1,0) on differences, a stationary AR(p), or Hamilton-style direct
 h-step regressions — becomes admissible once composed.
 
-Fitting and application are split: :func:`fit_rule` estimates coefficients
-once and freezes them in a :class:`ForecastRule` as an explicit affine
+Every rule is fitted column-wise: the fitting helpers take a stack of
+remainder paths, shape (n, m), and estimate one rule per column in one pass
+(column sums for ``arima110``, one batched least-squares solve for ``ar``
+and for each ``hamilton`` horizon, stacked companion eigenvalues for the
+``ar`` stationarity check).  :func:`compose` forecasts a whole stack, such
+as the smooth residual parts along a rho grid, with its own rule per
+column; :func:`fit_rule` and :func:`fit_composed` are the one-column case.
+
+A fitted rule is frozen in a :class:`ForecastRule` as an explicit affine
 operator ``matrix @ z[-p:] + offset`` on the last p values of its input
 (for ``ar``, the companion recursion run once on unit inputs; for
 ``hamilton``, its coefficient table).  :func:`apply_rule` is then one
@@ -74,7 +81,7 @@ def null_continuation(x: np.ndarray, q: int, horizon: int) -> np.ndarray:
         raise ForecastError(f"null path must have length > {q}")
     if horizon < 1:
         raise ForecastError(f"horizon must be positive, got {horizon}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ForecastError("null path must be finite")
     slack = np.abs(np.diff(x, n=q, axis=0)).max(axis=0)
     if (slack > 1e-6 * np.abs(x).max(axis=0)).any():
@@ -87,77 +94,130 @@ def null_continuation(x: np.ndarray, q: int, horizon: int) -> np.ndarray:
 
 
 def _fit_arima110(z: np.ndarray, horizon: int) -> tuple:
-    dz = np.diff(z)
+    dz = np.diff(z, axis=0)
     prev, curr = dz[:-1], dz[1:]
-    denom = float(prev @ prev)
+    denom = (prev * prev).sum(axis=0)
     # An exactly flat difference path carries no slope information; the
     # continuation degenerates to a constant rather than failing, which
     # keeps heavily smoothed inputs usable.
-    phi = float(prev @ curr) / denom if denom > 0.0 else 0.0
-    if abs(phi) >= 1.0:
+    phi = np.divide(
+        (prev * curr).sum(axis=0), denom, out=np.zeros_like(denom), where=denom > 0.0
+    )
+    for value in phi[np.abs(phi) >= 1.0]:
         warnings.warn(
-            f"arima110 difference coefficient {phi:.4f} is nonstationary; "
+            f"arima110 difference coefficient {value:.4f} is nonstationary; "
             "forecasts proceed over the finite horizon",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     # z[-1] + g_h (z[-1] - z[-2]) with g_h = phi + ... + phi^h, as weights
     # on z[-2:].
-    matrix = np.empty((horizon, 2))
-    g = (phi ** np.arange(1, horizon + 1)).cumsum()
-    matrix[:, 0] = -g
-    matrix[:, 1] = 1.0 + g
-    return (phi,), matrix, np.zeros(horizon)
+    g = (phi[:, None] ** np.arange(1, horizon + 1)).cumsum(axis=1)
+    matrix = np.stack([-g, 1.0 + g], axis=2)
+    return [(value,) for value in phi.tolist()], matrix, np.zeros(g.shape)
 
 
-def _solve_regression(design: np.ndarray, target: np.ndarray, kind: str) -> np.ndarray:
-    coef, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-    if not np.all(np.isfinite(coef)):
+def _solve_regressions(design: np.ndarray, target: np.ndarray, kind: str) -> np.ndarray:
+    """Least-squares coefficients of a stack of regressions, one per column.
+
+    ``design`` has shape (m, rows, p) and ``target`` (m, rows).  One batched
+    SVD gives each minimum-norm solution, with the singular-value cutoff of
+    ``np.linalg.lstsq(..., rcond=None)``.
+    """
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(design.shape[1:]) * s[:, :1]
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    projected = np.matmul(target[:, None, :], u)[:, 0] * inverse
+    coef = np.matmul(projected[:, None, :], vt)[:, 0]
+    if not np.isfinite(coef).all():
         raise ForecastError(f"{kind} regression is singular")
     return coef
 
 
 def _fit_ar(z: np.ndarray, order: int, horizon: int) -> tuple:
-    n = z.size
-    rows = n - order
-    design = np.ones((rows, order + 1))
+    n, m = z.shape
+    design = np.ones((m, n - order, order + 1))
     for lag in range(1, order + 1):
-        design[:, lag] = z[order - lag : n - lag]
-    coef = _solve_regression(design, z[order:], "ar")
-    # Stationarity check on lambda^p - a_1 lambda^{p-1} - ... - a_p.
-    roots = np.roots(np.concatenate([[1.0], -coef[1:]]))
-    if roots.size and np.max(np.abs(roots)) >= 1.0 - 1e-12:
+        design[:, :, lag] = z[order - lag : n - lag].T
+    coef = _solve_regressions(design, z[order:].T, "ar")
+    # Stationarity check on lambda^p - a_1 lambda^{p-1} - ... - a_p, whose
+    # roots are the eigenvalues of its companion matrix.
+    companion = np.zeros((m, order, order))
+    companion[:, 0] = coef[:, 1:]
+    companion[:, 1:, :-1] = np.eye(order - 1)
+    modulus = np.abs(np.linalg.eigvals(companion)).max(axis=1)
+    for value in modulus[modulus >= 1.0 - 1e-12]:
         warnings.warn(
             f"ar({order}) fit is nonstationary (max root modulus "
-            f"{np.max(np.abs(roots)):.4f}); forecasts proceed",
+            f"{value:.4f}); forecasts proceed",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     # Companion recursion on the unit functionals of (z[-p:], 1): the first
     # p rows are the tail values themselves, row p + h - 1 holds the
     # weights of the h-step forecast on the tail values and the constant.
-    rows = np.zeros((order + horizon, order + 1))
-    rows[:order, :order] = np.eye(order)
-    lag_coefs = coef[:0:-1]  # a_p, ..., a_1 against chronological rows
-    intercept = float(coef[0])
+    rows = np.zeros((m, order + horizon, order + 1))
+    rows[:, :order, :order] = np.eye(order)
+    lag_coefs = coef[:, None, :0:-1]  # a_p, ..., a_1 against chronological rows
     for t in range(order, order + horizon):
-        np.matmul(lag_coefs, rows[t - order : t], out=rows[t])
-        rows[t, order] += intercept
-    return tuple(coef), rows[order:, :order], rows[order:, order]
+        np.matmul(lag_coefs, rows[:, t - order : t], out=rows[:, t : t + 1])
+        rows[:, t, order] += coef[:, 0]
+    return [tuple(c) for c in coef], rows[:, order:, :order], rows[:, order:, order]
 
 
 def _fit_hamilton(z: np.ndarray, horizon: int, lags: int) -> tuple:
-    n = z.size
-    all_coefs = []
+    n, m = z.shape
+    table = np.empty((m, horizon, lags + 1))
     for h in range(1, horizon + 1):
-        rows = n - h - lags + 1
-        design = np.ones((rows, lags + 1))
+        design = np.ones((m, n - h - lags + 1, lags + 1))
         for lag in range(lags):
-            design[:, lag + 1] = z[lags - 1 - lag : n - h - lag]
-        target = z[lags - 1 + h :]
-        all_coefs.append(tuple(_solve_regression(design, target, "hamilton")))
-    table = np.array(all_coefs)
-    return tuple(all_coefs), table[:, :0:-1], table[:, 0]
+            design[:, :, lag + 1] = z[lags - 1 - lag : n - h - lag].T
+        table[:, h - 1] = _solve_regressions(design, z[lags - 1 + h :].T, "hamilton")
+    params = [tuple(tuple(row) for row in column) for column in table]
+    return params, table[:, :, :0:-1], table[:, :, 0]
+
+
+def _fit_stack(
+    rule_kind: str, q: int, z: np.ndarray, horizon: int, order: int, lags: int
+) -> tuple:
+    """Fit one rule per column of ``z`` (n, m), all for ``horizon`` steps.
+
+    Returns the fitted parameters of each column, the operator matrices
+    (m, horizon, p) and the offsets (m, horizon).
+    """
+    if rule_kind not in RULE_KINDS:
+        raise ForecastError(
+            f"unknown forecast rule {rule_kind!r}; choose from {', '.join(RULE_KINDS)}"
+        )
+    _check_order(q)
+    n, m = z.shape
+    if horizon < 1:
+        raise ForecastError(f"horizon must be positive, got {horizon}")
+
+    if rule_kind == "last_constant":
+        if n < 1:
+            raise ForecastError("last_constant needs at least 1 observation")
+        return [()] * m, np.ones((m, horizon, 1)), np.zeros((m, horizon))
+    if rule_kind == "arima110":
+        if n < 3:
+            raise ForecastError(f"arima110 needs at least 3 observations, got {n}")
+        return _fit_arima110(z, horizon)
+    if rule_kind == "ar":
+        if order < 1:
+            raise ForecastError(f"ar order must be positive, got {order}")
+        if n < order + 2:
+            raise ForecastError(
+                f"ar({order}) needs at least {order + 2} observations, got {n}"
+            )
+        return _fit_ar(z, order, horizon)
+    if lags < 1:
+        raise ForecastError(f"hamilton lag count must be positive, got {lags}")
+    if n < horizon + lags + 1:
+        raise ForecastError(
+            f"hamilton with horizon {horizon} needs at least "
+            f"{horizon + lags + 1} observations, got {n}"
+        )
+    return _fit_hamilton(z, horizon, lags)
 
 
 def fit_rule(
@@ -172,48 +232,16 @@ def fit_rule(
 
     ``hamilton`` fits one direct regression per step ahead; the other kinds
     fit one regression and iterate it.  ``order`` is the ar lag order;
-    ``lags`` the hamilton predictor count.
+    ``lags`` the hamilton predictor count.  This is the one-column case of
+    the stacked fit :func:`compose` runs.
     """
-    if rule_kind not in RULE_KINDS:
-        raise ForecastError(
-            f"unknown forecast rule {rule_kind!r}; choose from {', '.join(RULE_KINDS)}"
-        )
-    q = _check_order(q)
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise ForecastError("remainder series must be a vector")
-    n = z.size
-    if horizon < 1:
-        raise ForecastError(f"horizon must be positive, got {horizon}")
-
-    if rule_kind == "last_constant":
-        if n < 1:
-            raise ForecastError("last_constant needs at least 1 observation")
-        params: tuple = ()
-        matrix, offset = np.ones((horizon, 1)), np.zeros(horizon)
-    elif rule_kind == "arima110":
-        if n < 3:
-            raise ForecastError(f"arima110 needs at least 3 observations, got {n}")
-        params, matrix, offset = _fit_arima110(z, horizon)
-    elif rule_kind == "ar":
-        if order < 1:
-            raise ForecastError(f"ar order must be positive, got {order}")
-        if n < order + 2:
-            raise ForecastError(
-                f"ar({order}) needs at least {order + 2} observations, got {n}"
-            )
-        params, matrix, offset = _fit_ar(z, order, horizon)
-    else:
-        if lags < 1:
-            raise ForecastError(f"hamilton lag count must be positive, got {lags}")
-        if n < horizon + lags + 1:
-            raise ForecastError(
-                f"hamilton with horizon {horizon} needs at least "
-                f"{horizon + lags + 1} observations, got {n}"
-            )
-        params, matrix, offset = _fit_hamilton(z, horizon, lags)
+    params, matrix, offset = _fit_stack(rule_kind, q, z[:, None], horizon, order, lags)
     return ForecastRule(
-        kind=rule_kind, q=q, fitted_params=params, matrix=matrix, offset=offset
+        kind=rule_kind, q=int(q), fitted_params=params[0], matrix=matrix[0],
+        offset=offset[0],
     )
 
 
@@ -264,6 +292,19 @@ class ComposedForecaster:
         )
 
 
+def _undusted(rest: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``rest``, with every column that is floating-point dust of ``r``'s
+    column set to zero.
+
+    Projection of a path that already lies in the null space leaves only
+    floating-point dust; fitting an autoregression to that dust produces
+    arbitrary coefficients (and spurious nonstationarity warnings), so a
+    negligible remainder is treated as exactly zero.
+    """
+    dust = np.abs(rest).max(axis=0) <= 1e-12 * np.abs(r).max(axis=0)
+    return np.where(dust, 0.0, rest) if dust.any() else rest
+
+
 def fit_composed(
     rule_kind: str,
     q: int,
@@ -279,13 +320,7 @@ def fit_composed(
         raise ForecastError(
             f"path length {r_pre.shape} does not match basis size {basis.n}"
         )
-    rest = basis.project_perp(r_pre)
-    # Projection of a path that already lies in the null space leaves only
-    # floating-point dust; fitting an autoregression to that dust produces
-    # arbitrary coefficients (and spurious nonstationarity warnings), so a
-    # negligible remainder is treated as exactly zero.
-    if np.abs(rest).max() <= 1e-12 * np.abs(r_pre).max():
-        rest = np.zeros_like(rest)
+    rest = _undusted(basis.project_perp(r_pre), r_pre)
     rule = fit_rule(rule_kind, q, rest, horizon, order=order, lags=lags)
     return ComposedForecaster(rule=rule, basis=basis)
 
@@ -299,8 +334,27 @@ def compose(
     order: int = 4,
     lags: int = 4,
 ) -> np.ndarray:
-    """Admissible forecast of ``r_pre``: exact null continuation + fitted rule."""
-    forecaster = fit_composed(
-        rule_kind, q, basis, r_pre, horizon, order=order, lags=lags
+    """Admissible forecast of ``r_pre``: exact null continuation + fitted rule.
+
+    ``r_pre`` is one path of shape (n,) or a stack of shape (n, m); each
+    column gets its own rule, fitted on that column's remainder, and the
+    forecasts come back as (horizon,) or (horizon, m).  Each column's
+    forecast is the one :func:`fit_composed` and
+    :meth:`ComposedForecaster.apply` give for that column alone.
+    """
+    r = np.asarray(r_pre, dtype=float)
+    if r.ndim not in (1, 2) or r.shape[0] != basis.n:
+        raise ForecastError(
+            f"path length {r.shape} does not match basis size {basis.n}"
+        )
+    stack = r.reshape(basis.n, -1)
+    null_part = basis.project_null(stack)
+    rest = stack - null_part
+    _, matrix, offset = _fit_stack(
+        rule_kind, q, _undusted(rest, stack), horizon, order, lags
     )
-    return forecaster.apply(r_pre, horizon)
+    tail = rest[basis.n - matrix.shape[2] :].T[:, :, None]
+    out = null_continuation(null_part, q, horizon) + (
+        np.matmul(matrix, tail)[:, :, 0] + offset
+    ).T
+    return out if r.ndim == 2 else out[:, 0]

@@ -15,8 +15,10 @@ forecast rule:
 
 Everything here works in the penalty eigenbasis, so the smoother and metric
 are diagonal rescalings; no T0 x T0 system is ever solved per candidate rho.
-:func:`fit_path` is the one weight path: it solves the profiled program
-along a rho grid, and :func:`fit` (a grid of one), the oracle weights of
+:func:`fit_path` is the one weight path: it assembles the profiled program
+of every rho of a grid in one batched product, solves them along the grid,
+and returns the weights and smooth parts as arrays (one row, respectively
+column, per rho); :func:`fit` (a grid of one), the oracle weights of
 ``decomp`` and the cross-validation of ``tuning`` all go through it.
 """
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from harmonic_sc import forecast, qp, spectral
-from harmonic_sc.panel import PrePostView
+from harmonic_sc.panel import PrePostView, check_levels
 
 
 @dataclass(frozen=True)
@@ -112,31 +114,41 @@ def fit_path(
     basis: spectral.SpectralBasis,
     rho_grid,
     ridge: float,
-):
-    """Profiled donor weights along ``rho_grid``, one grid point at a time.
+) -> tuple[list[qp.QPSolution], np.ndarray, np.ndarray]:
+    """Profiled donor weights and smooth residual parts along ``rho_grid``.
 
-    ``V'y`` and ``V'X`` (the series in the penalty eigenbasis) are formed
-    once; at each rho their rows are rescaled by sqrt(match_gains), which
-    turns the metric objective into an ordinary least-squares program, and
-    the solve starts from the previous rho's weights (neighbouring grid
-    points share, or nearly share, the optimal face).
+    The series enter once, as their eigen-coordinates ``U = V'[X, y]``.
+    Scaling the rows of ``U`` by sqrt(match_gains) turns the metric
+    objective into an ordinary least-squares program, so one batched
+    product ``U' diag(w_g) U`` over the grid's gains (one broadcast,
+    :func:`spectral.path_gains`) holds every program's gram, ``-linear``
+    and offset.  The programs are solved in grid order, each starting from
+    the previous rho's weights (neighbouring grid points share, or nearly
+    share, the optimal face).
 
-    Yields ``(solution, r, e)`` per rho: the :class:`qp.QPSolution`, the
-    residual ``r = y - X w`` and its smooth part
-    ``e = V diag(s) (V'y - V'X w)``.
+    Returns ``(solutions, weights, smooth)``: the :class:`qp.QPSolution` of
+    each rho, the weights ``W`` (G x n, one row per rho) and the smooth
+    parts ``E`` (T0 x G, one column per rho) of the residuals
+    ``y - X w_g``, ``E[:, g] = V diag(s_g) (V'y - V'X w_g)``.
     """
     v = basis.eigenvectors
-    u_y = v.T @ y
-    u_x = v.T @ x
-    weights = None
-    for rho in rho_grid:
-        metric = spectral.rho_metric(basis, rho)
-        root = np.sqrt(metric.match_gains)
-        problem = qp.build(root * u_y, root[:, None] * u_x, ridge)
-        solution = qp.solve(problem, init=weights)
-        weights = solution.weights
-        e = v @ (metric.shrink_gains * (u_y - u_x @ weights))
-        yield solution, y - x @ weights, e
+    n = x.shape[1]
+    u = v.T @ np.column_stack([x, y])
+    shrink, match = spectral.path_gains(basis, rho_grid)
+    blocks = np.matmul(u.T * match[:, None, :], u)
+    solutions = []
+    weights = np.empty((len(blocks), n))
+    init = None
+    for g, block in enumerate(blocks):
+        problem = qp.SimplexQP(
+            gram=block[:n, :n], linear=-block[:n, n], offset=float(block[n, n]),
+            ridge=float(ridge),
+        )
+        solution = qp.solve(problem, init=init)
+        solutions.append(solution)
+        weights[g] = init = solution.weights
+    smooth = v @ (shrink.T * (u[:, n:] - u[:, :n] @ weights.T))
+    return solutions, weights, smooth
 
 
 def fit(view: PrePostView, cfg: HscConfig) -> HscFit:
@@ -145,10 +157,14 @@ def fit(view: PrePostView, cfg: HscConfig) -> HscFit:
     Raises
     ------
     ValueError
-        If the pre-period is shorter than q+2.
+        If a block of the view is not finite or exceeds
+        ``panel.MAX_LEVEL``, or the pre-period is shorter than q+2.
     harmonic_sc.qp.SolverStall, harmonic_sc.forecast.ForecastError
         Propagated from the weight solver and the forecast rule.
     """
+    check_levels(
+        y_pre=view.y_pre, x_pre=view.x_pre, y_post=view.y_post, x_post=view.x_post
+    )
     y = np.asarray(view.y_pre, dtype=float)
     x = np.asarray(view.x_pre, dtype=float)
     t0 = y.shape[0]
@@ -162,10 +178,9 @@ def fit(view: PrePostView, cfg: HscConfig) -> HscFit:
 
     zeta = auto_zeta(x, t_post) if cfg.zeta == "auto" else float(cfg.zeta)
     basis = spectral.spectral_basis(t0, cfg.q)
-    solution, r_pre, e_pre = next(
-        fit_path(y, x, basis, (cfg.rho,), zeta * zeta * t0)
-    )
-    w_hat = solution.weights
+    solutions, weights, smooth = fit_path(y, x, basis, (cfg.rho,), zeta * zeta * t0)
+    solution, w_hat, e_pre = solutions[0], weights[0], smooth[:, 0]
+    r_pre = y - x @ w_hat
     u_pre = r_pre - e_pre
 
     forecaster = forecast.fit_composed(

@@ -21,6 +21,15 @@ import numpy as np
 MAX_LEVEL = 1e100
 
 
+def check_levels(**arrays) -> None:
+    """Reject an array holding a non-finite value or a level beyond
+    :data:`MAX_LEVEL`, naming it: ``ValueError("<name> must be finite and
+    within 1e+100")``."""
+    for name, value in arrays.items():
+        if not (np.abs(value) <= MAX_LEVEL).all():  # NaN compares false
+            raise ValueError(f"{name} must be finite and within {MAX_LEVEL:.0e}")
+
+
 class PanelDataError(ValueError):
     """Raised when panel input fails validation (shape, gaps, duplicates)."""
 
@@ -64,10 +73,16 @@ class Panel:
                 f"need at least 2 donors (got {n_units - 1}); a donor pool of "
                 "one column cannot form a nondegenerate simplex"
             )
+        if len(self.unit_labels) != n_units:
+            raise PanelDataError("unit_labels length does not match outcomes")
+        if self.time_labels and len(self.time_labels) != t_total:
+            raise PanelDataError("time_labels length does not match outcomes")
         if not np.all(np.abs(y) <= MAX_LEVEL):  # NaN compares false
             t, j = np.argwhere(~(np.abs(y) <= MAX_LEVEL))[0]
+            time = self.time_labels[t] if self.time_labels else int(t)
             raise PanelDataError(
-                f"outcome {y[t, j]:.6g} at (time={t}, unit={j}) is not finite "
+                f"outcome {y[t, j]:.6g} at (time={time!r}, "
+                f"unit={self.unit_labels[j]!r}) is not finite "
                 f"or exceeds {MAX_LEVEL:.0e} in magnitude"
             )
         if not 0 < self.t0 < t_total:
@@ -75,10 +90,6 @@ class Panel:
                 f"t0={self.t0} must leave at least one pre- and one "
                 f"post-treatment period within {t_total} total periods"
             )
-        if len(self.unit_labels) != n_units:
-            raise PanelDataError("unit_labels length does not match outcomes")
-        if self.time_labels and len(self.time_labels) != t_total:
-            raise PanelDataError("time_labels length does not match outcomes")
         object.__setattr__(self, "outcomes", y)
 
     @property
@@ -173,38 +184,44 @@ def load_csv(path: str, treated_label: str, t0: int) -> Panel:
         unparseable outcomes, an unknown ``treated_label``, or a ``t0`` that
         leaves no post-treatment period.
     """
-    units: list[str] = []
     times_by_unit: dict[str, list[str]] = {}
-    values: dict[tuple[str, str], float] = {}
+    values_by_unit: dict[str, list[float]] = {}
+    seen: set[tuple[str, str]] = set()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        missing = [c for c in ("unit", "time", "outcome") if c not in fields]
+        reader = csv.reader(fh)
+        column = {name: i for i, name in enumerate(next(reader, []))}
+        missing = [c for c in ("unit", "time", "outcome") if c not in column]
         if missing:
             raise PanelDataError(
                 f"CSV header must contain unit,time,outcome (missing: "
                 f"{', '.join(missing)})"
             )
-        for lineno, row in enumerate(reader, start=2):
-            unit, time = row["unit"], row["time"]
-            if unit is None or time is None or row["outcome"] is None:
+        i_unit, i_time, i_outcome = column["unit"], column["time"], column["outcome"]
+        width = max(i_unit, i_time, i_outcome) + 1
+        # Blank lines are skipped and not counted, as csv.DictReader does.
+        for lineno, row in enumerate(filter(None, reader), start=2):
+            if len(row) < width:
                 raise PanelDataError(f"short row at line {lineno}")
+            unit, time, text = row[i_unit], row[i_time], row[i_outcome]
             key = (unit, time)
-            if key in values:
+            if key in seen:
                 raise PanelDataError(
                     f"duplicate observation for unit={unit!r}, time={time!r}"
                 )
+            seen.add(key)
             try:
-                values[key] = float(row["outcome"])
+                value = float(text)
             except ValueError as exc:
                 raise PanelDataError(
-                    f"unparseable outcome {row['outcome']!r} at line {lineno}"
+                    f"unparseable outcome {text!r} at line {lineno}"
                 ) from exc
             if unit not in times_by_unit:
-                units.append(unit)
                 times_by_unit[unit] = []
+                values_by_unit[unit] = []
             times_by_unit[unit].append(time)
+            values_by_unit[unit].append(value)
 
+    units = list(times_by_unit)  # first-appearance order
     if not units:
         raise PanelDataError("CSV contains no data rows")
     if treated_label not in times_by_unit:
@@ -245,11 +262,10 @@ def load_csv(path: str, treated_label: str, t0: int) -> Panel:
             f"(panel has {len(time_seq)} periods)"
         )
 
+    # Every unit observes time_seq in file order (checked above), so its
+    # values in file order are its column.
     ordered_units = [treated_label] + [u for u in units if u != treated_label]
-    outcomes = np.empty((len(time_seq), len(ordered_units)), dtype=float)
-    for j, unit in enumerate(ordered_units):
-        for i, time in enumerate(time_seq):
-            outcomes[i, j] = values[(unit, time)]
+    outcomes = np.column_stack([values_by_unit[unit] for unit in ordered_units])
 
     return Panel(
         outcomes=outcomes,

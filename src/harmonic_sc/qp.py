@@ -7,8 +7,9 @@ weights on latent structure, and the level-matching baselines — solves
 
 once its metric has been absorbed into ``y`` and ``X`` (the estimator
 rescales their eigen-coordinates, the baselines residualize them).
-:func:`build` reduces that to coefficient form (gram, linear, offset), the
-one place a weight program is assembled.
+:func:`build` reduces that to coefficient form (gram, linear, offset) for
+the baselines; ``hsc.fit_path`` assembles a whole rho grid of estimator
+programs at once from the same least-squares form.
 
 :func:`solve` is polish-first: a primal active-set method in the manner of
 Lawson & Hanson (1974, *Solving Least Squares Problems*, ch. 23).  Each
@@ -35,6 +36,7 @@ problem).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,13 +81,13 @@ class SimplexQP:
                 f"linear length {l.shape} does not match gram size {g.shape[0]}"
             )
         for name, value in (("gram", g), ("linear", l), ("offset", self.offset)):
-            if not np.all(np.isfinite(value)):
+            if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
         if not np.isfinite(self.ridge) or self.ridge < 0:
             raise ValueError(f"ridge must be finite and nonnegative, got {self.ridge}")
-        scale = float(max(abs(self.offset), np.max(np.abs(g)),
-                          2.0 * np.max(np.abs(l)), self.ridge)) or 1.0
-        asym = float(np.max(np.abs(g - g.T)))
+        scale = float(max(abs(self.offset), abs(g).max(),
+                          2.0 * abs(l).max(), self.ridge)) or 1.0
+        asym = float(abs(g - g.T).max())
         if asym > 1e-10 * scale:
             raise ValueError(f"gram asymmetry {asym:.3e} exceeds tolerance")
         object.__setattr__(self, "scale", scale)
@@ -96,18 +98,19 @@ class SimplexQP:
     def n(self) -> int:
         return self.gram.shape[0]
 
+    def evaluate(self, w: np.ndarray) -> tuple[float, np.ndarray]:
+        """Objective value and gradient at ``w`` (no feasibility check),
+        both from one product ``gram @ w``."""
+        w = np.asarray(w, dtype=float)
+        half_grad = self.gram @ w + self.ridge * w + self.linear
+        return float(w @ (half_grad + self.linear)) + self.offset, 2.0 * half_grad
+
     def eval(self, w: np.ndarray) -> float:
         """Objective value at ``w`` (no feasibility check)."""
-        w = np.asarray(w, dtype=float)
-        return float(
-            w @ self.gram @ w
-            + 2.0 * self.linear @ w
-            + self.offset
-            + self.ridge * w @ w
-        )
+        return self.evaluate(w)[0]
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.gram @ w + self.ridge * w + self.linear)
+        return self.evaluate(w)[1]
 
 
 @dataclass(frozen=True)
@@ -163,12 +166,13 @@ def _kkt_residual(qp: SimplexQP, w: np.ndarray, grad: np.ndarray) -> float:
     off the support it must not undercut that constant.
     """
     active = w > 0.0
-    if not np.any(active):
+    on_support = grad[active]
+    if not on_support.size:
         return float(np.inf)
-    nu = float(np.mean(grad[active]))
-    res = float(np.max(np.abs(grad[active] - nu)))
-    if not np.all(active):
-        res = max(res, float(np.max(nu - grad[~active])), 0.0)
+    nu = on_support.mean()
+    res = float(abs(on_support - nu).max())
+    if on_support.size < w.size:
+        res = max(res, float((nu - grad[~active]).max()), 0.0)
     return res / qp.scale
 
 
@@ -187,9 +191,9 @@ def _face_solve(qp: SimplexQP, idx: np.ndarray) -> np.ndarray:
     the size of ``H`` so the singular-value cutoff cannot drop the border's.
     """
     m = idx.size
-    h = 2.0 * qp.gram[np.ix_(idx, idx)]
+    h = 2.0 * qp.gram.take(idx, axis=0).take(idx, axis=1)
     if qp.ridge > 0.0:
-        h[np.diag_indices(m)] += 2.0 * qp.ridge
+        h.flat[:: m + 1] += 2.0 * qp.ridge
         rhs = np.empty((m, 2))
         rhs[:, 0] = -2.0 * qp.linear[idx]
         rhs[:, 1] = 1.0
@@ -219,7 +223,7 @@ def _polish(qp: SimplexQP, support: np.ndarray) -> tuple[np.ndarray | None, int]
     stationarity check decides whether the candidate is accepted, so an
     inconsistent system merely yields a rejected candidate.
     """
-    idx = np.nonzero(support)[0]
+    idx = support.nonzero()[0]
     solves = 0
     while idx.size:
         solves += 1
@@ -227,10 +231,10 @@ def _polish(qp: SimplexQP, support: np.ndarray) -> tuple[np.ndarray | None, int]
             w_s = _face_solve(qp, idx)
         except np.linalg.LinAlgError:
             return None, solves
-        if not np.all(np.isfinite(w_s)):
+        if not np.isfinite(w_s).all():
             return None, solves
         negative = w_s < -1e-12
-        if np.any(negative):
+        if negative.any():
             idx = idx[~negative]
             continue
         # Dust-level coordinates are truly inactive; reporting them as
@@ -341,12 +345,12 @@ def solve(
         # A point already on the simplex is kept as given: projecting it
         # anew can lift its zero coordinates to rounding dust, and the
         # opening polish would then start from the full support.
-        if not (np.all(x >= 0.0) and abs(x.sum() - 1.0) <= 1e-12):
+        if not ((x >= 0.0).all() and abs(x.sum() - 1.0) <= 1e-12):
             x = project_simplex(x)
         # Dust-level weights are inactive, as in every point the run moves
         # to: a ratio step blocked by one would barely move.
         dust = (x > 0.0) & (x < 1e-12)
-        if np.any(dust):
+        if dust.any():
             x[dust] = 0.0
             x /= x.sum()
     # The objective cancels terms of magnitude ``qp.scale``, so differences
@@ -354,8 +358,7 @@ def solve(
     # not the objective, discriminates near the optimum.
     noise = 1e-12 * qp.scale
 
-    f_x = qp.eval(x)
-    grad_x = qp.gradient(x)
+    f_x, grad_x = qp.evaluate(x)
     if trace is not None:
         trace.append(f_x)
     steps = face_solves = 0
@@ -365,22 +368,22 @@ def solve(
         # points at.  Every adopted point lowers the objective, so no face
         # is visited twice.
         support = x > 0.0
-        nu = float(np.mean(grad_x[support]))
+        nu = grad_x[support].mean()
         entering = ~support & (grad_x < nu)
         trials = [] if on_face_optimum else [support]
-        if np.any(entering):
+        any_entering = entering.any()
+        if any_entering:
             trials.append(support | entering)
         for trial in trials:
             polished, solves = _polish(qp, trial)
             face_solves += solves
             if polished is None:
                 continue
-            f_p = qp.eval(polished)
+            f_p, grad_p = qp.evaluate(polished)
             if f_p > f_x + noise:
                 continue
-            grad_p = qp.gradient(polished)
             kkt_p = _kkt_residual(qp, polished, grad_p)
-            if kkt_p <= tol * (1.0 + float(np.linalg.norm(grad_p)) / qp.scale):
+            if kkt_p <= tol * (1.0 + math.sqrt(grad_p @ grad_p) / qp.scale):
                 if trace is not None:
                     trace.append(f_p)
                 return _finish(polished, f_p, steps, face_solves, kkt_p)
@@ -398,7 +401,7 @@ def solve(
             # its minimum-norm point with a spread support gradient; moving
             # off the steepest coordinate then lowers the objective.
             faces = [support]
-            if np.any(entering):
+            if any_entering:
                 j = np.argmin(np.where(entering, grad_x, np.inf))
                 faces.insert(0, support | (np.arange(n) == j))
             if np.count_nonzero(support) > 1:
@@ -408,13 +411,13 @@ def solve(
                 face_solves += 1
                 w = _ratio_step(qp, x, face)
                 if w is not None:
-                    f_w = qp.eval(w)
+                    f_w, grad_w = qp.evaluate(w)
                     if f_w < f_x:
                         break
             else:
                 break
             steps += 1
-            x, f_x, grad_x = w, f_w, qp.gradient(w)
+            x, f_x, grad_x = w, f_w, grad_w
             on_face_optimum = False
         if trace is not None:
             trace.append(f_x)

@@ -193,19 +193,39 @@ class RhoMetric:
     match_gains: np.ndarray
 
 
+def path_gains(basis: SpectralBasis, rho_grid) -> tuple[np.ndarray, np.ndarray]:
+    """Gains of S and W along ``rho_grid``: one row per rho, one column per
+    eigenvalue.
+
+    The interior formula of :func:`gains` is broadcast over the grid on the
+    positive eigenvalues, where it is exact at both endpoints (``s = 1``,
+    ``w = mu`` at rho = 0; ``0 / mu = 0`` and ``mu / mu = 1`` at rho = 1).
+    The null columns are ``s = 1``, ``w = 0`` at every rho, which is the
+    formula's value below rho = 1 and the exact endpoint branch at rho = 1,
+    so the indicator runs on the verified null dimension, not on a
+    floating-point eigenvalue test.
+    """
+    rho = np.asarray(rho_grid, dtype=float).reshape(-1, 1)
+    inside = (rho >= 0.0) & (rho <= 1.0)  # NaN is outside
+    if not inside.all():
+        raise ValueError(f"rho must lie in [0, 1], got {rho[~inside][0]}")
+    q = basis.null_dim
+    mu = basis.eigenvalues[q:]
+    keep = 1.0 - rho
+    denom = keep + rho * mu
+    shrink = np.ones((rho.size, basis.n))
+    match = np.zeros((rho.size, basis.n))
+    shrink[:, q:] = keep / denom
+    match[:, q:] = mu / denom
+    return shrink, match
+
+
 def rho_metric(basis: SpectralBasis, rho: float) -> RhoMetric:
     """Bind a spectral basis to a mixing weight rho."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    if rho == 1.0:
-        # Exact endpoint branch: the indicator runs on the verified null
-        # dimension, not on a floating-point eigenvalue test.
-        s = np.zeros(basis.n)
-        s[: basis.null_dim] = 1.0
-        w = 1.0 - s
-    else:
-        s, w = gains(basis.eigenvalues, rho)
-    return RhoMetric(rho=float(rho), basis=basis, shrink_gains=s, match_gains=w)
+    shrink, match = path_gains(basis, (rho,))
+    return RhoMetric(
+        rho=float(rho), basis=basis, shrink_gains=shrink[0], match_gains=match[0]
+    )
 
 
 def smoother_apply(metric: RhoMetric, r: np.ndarray) -> np.ndarray:

@@ -9,7 +9,11 @@ window, and only pre-treatment data ever enters: the API takes the
 pre-period arrays alone, so post-treatment outcomes are not merely ignored
 but structurally absent.  Donor weights depend on (q, fold, rho) but not on
 the forecast rule, so each such program is solved once and its weights and
-smooth component are shared by every rule of that q.
+smooth component are shared by every rule of that q.  Each (q, fold) rho
+path is scored as one stack: ``hsc.fit_path`` returns the path's weights
+``W`` and smooth parts ``E`` as arrays, each rule forecasts every column of
+``E`` in one :func:`forecast.compose`, and the squared errors of all grid
+points come from one product ``x_val @ W.T``.
 
 Ties in the CV objective break toward larger rho (the candidate that leans
 hardest on donor matching and least on the forecaster); across candidate
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from harmonic_sc import forecast, hsc, qp, spectral
-from harmonic_sc.panel import MAX_LEVEL
+from harmonic_sc.panel import check_levels
 
 #: Default grid: 21 equally spaced mixing weights.
 DEFAULT_GRID_SIZE = 21
@@ -142,6 +146,9 @@ class CvResult:
 _CV_FAILURES = (
     ValueError, forecast.ForecastError, qp.SolverStall, spectral.EigenSolverError
 )
+#: Failures of a forecast rule's fit that exclude its candidate.  Narrower
+#: than the weights' catch: a bare ``ValueError`` from array code is a bug.
+_FORECAST_FAILURES = (forecast.ForecastError, np.linalg.LinAlgError)
 
 
 def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResult:
@@ -166,9 +173,7 @@ def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResu
     x_pre = np.asarray(x_pre, dtype=float)
     if y_pre.ndim != 1 or x_pre.ndim != 2 or x_pre.shape[0] != y_pre.size:
         raise ValueError("y_pre must be a vector and x_pre a matching matrix")
-    for name, value in (("y_pre", y_pre), ("x_pre", x_pre)):
-        if not np.all(np.abs(value) <= MAX_LEVEL):  # NaN compares false
-            raise ValueError(f"{name} must be finite and within {MAX_LEVEL:.0e}")
+    check_levels(y_pre=y_pre, x_pre=x_pre)
     t0 = y_pre.size
     origins = rolling_origins(t0, plan.h, plan.folds)
     grid = plan.rho_grid
@@ -191,24 +196,25 @@ def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResu
                     else float(plan.zeta)
                 )
                 basis = spectral.spectral_basis(k, q)
-                path = list(hsc.fit_path(y_tr, x_tr, basis, grid, zeta * zeta * k))
+                _, weights, smooth = hsc.fit_path(
+                    y_tr, x_tr, basis, grid, zeta * zeta * k
+                )
             except _CV_FAILURES as exc:
                 # The weights failed: every rule of this q loses the fold.
                 for ci in live:
                     failed[ci] = (k, str(exc))
                 continue
+            donor_part = x_val @ weights.T  # (h, G): one column per rho
             for ci in live:
-                rule_kind = plan.candidates[ci][1]
                 try:
-                    for gi, (sol, _, e_tr) in enumerate(path):
-                        fc = forecast.compose(
-                            rule_kind, q, basis, e_tr, plan.h,
-                            order=plan.ar_order, lags=plan.hamilton_lags,
-                        )
-                        pred = x_val @ sol.weights + fc
-                        per_fold[ci, li, :, gi] = (y_val - pred) ** 2
-                except _CV_FAILURES as exc:
+                    fc = forecast.compose(
+                        plan.candidates[ci][1], q, basis, smooth, plan.h,
+                        order=plan.ar_order, lags=plan.hamilton_lags,
+                    )
+                except _FORECAST_FAILURES as exc:
                     failed[ci] = (k, str(exc))
+                    continue
+                per_fold[ci, li] = (y_val[:, None] - (donor_part + fc)) ** 2
     excluded = [(plan.candidates[ci], *failed[ci]) for ci in sorted(failed)]
     per_fold[sorted(failed)] = np.nan
 

@@ -366,3 +366,16 @@ def test_weights_and_selection_are_scale_equivariant():
         assert scaled_selection == selection
         for name, w in weights.items():
             assert_allclose(scaled_weights[name], w, rtol=0.0, atol=1e-9, err_msg=name)
+
+
+@pytest.mark.parametrize("method", baselines.METHODS)
+def test_fit_rejects_overflowing_levels_by_name(method):
+    # Levels of 1e200 would overflow the weight program's gram; the input
+    # is named instead of an internal coefficient.
+    view, _ = make_view(np.random.default_rng(8), t0=20, n_donors=4)
+    huge = PrePostView(
+        y_pre=1e200 * view.y_pre, x_pre=1e200 * view.x_pre,
+        y_post=1e200 * view.y_post, x_post=1e200 * view.x_post,
+    )
+    with pytest.raises(ValueError, match=r"y_pre must be finite and within 1e\+100"):
+        baselines.fit(method, huge)

@@ -139,7 +139,8 @@ def test_estimate_overflowing_levels_name_the_cell(tmp_path, capsys):
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert "outcome 2.6076e+200 at (time=0, unit=0)" in err
+    # The cell is named by the file's labels: the treated unit A at time 1.
+    assert "outcome 2.6076e+200 at (time='1', unit='A')" in err
     assert "gram" not in err
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -350,3 +352,43 @@ def test_composed_forecaster_length_check():
     op = forecast.ComposedForecaster(rule=rule, basis=basis)
     with pytest.raises(forecast.ForecastError, match="does not match"):
         op.apply(np.zeros(11), 2)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("rule_kind", forecast.RULE_KINDS)
+def test_stacked_compose_matches_single_paths(rule_kind, q):
+    # Each column of a stack gets the rule it would get alone: random walks,
+    # a null-space path with rounding-level noise (its remainder is dust
+    # and is fitted as zero) and an explosive path (nonstationary ar and
+    # arima110 fits, one warning per column either way).
+    rng = np.random.default_rng(7)
+    n = 30
+    basis = spectral_basis(n, q)
+    t = np.arange(n, dtype=float)
+    columns = [rng.normal(size=n).cumsum() for _ in range(4)]
+    columns.append(3.0 - 0.5 * (q - 1) * t + 1e-14 * rng.normal(size=n))
+    columns.append(1.15**t)
+    stack = np.column_stack(columns)
+    with warnings.catch_warnings(record=True) as stacked_warnings:
+        warnings.simplefilter("always")
+        out = forecast.compose(rule_kind, q, basis, stack, 4)
+    with warnings.catch_warnings(record=True) as single_warnings:
+        warnings.simplefilter("always")
+        singles = [forecast.compose(rule_kind, q, basis, col, 4) for col in columns]
+    assert out.shape == (4, len(columns))
+    for j, single in enumerate(singles):
+        # The stack's products may round differently from one column's.
+        tol = 1e-13 * np.abs(columns[j]).max()
+        np.testing.assert_allclose(out[:, j], single, rtol=0.0, atol=tol)
+    messages = sorted(str(w.message) for w in stacked_warnings)
+    assert messages == sorted(str(w.message) for w in single_warnings)
+    if rule_kind in ("arima110", "ar"):
+        assert messages  # the explosive column warns
+
+
+def test_stacked_compose_keeps_the_single_path_checks():
+    basis = spectral_basis(10, 1)
+    with pytest.raises(forecast.ForecastError, match="does not match"):
+        forecast.compose("last_constant", 1, basis, np.zeros((11, 3)), 2)
+    with pytest.raises(forecast.ForecastError, match="needs at least 11 observations"):
+        forecast.compose("hamilton", 1, basis, np.ones((10, 3)), 6, lags=4)

@@ -256,6 +256,48 @@ def test_mismatched_view_shapes():
         hsc.fit(view, hsc.HscConfig(rho=0.5, zeta=0.1))
 
 
+@pytest.mark.parametrize("q", [1, 2])
+def test_fit_path_rows_match_fit_at_each_rho(q):
+    # The array-valued path: row g of W and column g of E are what a fit at
+    # grid point g alone gives (warm starts move the weights by no more
+    # than the solver's tolerance).
+    view = random_view(23, t0=36, n_donors=7)
+    zeta = 0.3
+    grid = np.linspace(0.0, 1.0, 6)
+    basis = spectral.spectral_basis(view.t0, q)
+    solutions, weights, smooth = hsc.fit_path(
+        view.y_pre, view.x_pre, basis, grid, zeta * zeta * view.t0
+    )
+    assert weights.shape == (grid.size, view.n_donors)
+    assert smooth.shape == (view.t0, grid.size)
+    for g, rho in enumerate(grid):
+        fitted = hsc.fit(view, hsc.HscConfig(rho=rho, q=q, zeta=zeta))
+        np.testing.assert_array_equal(solutions[g].weights, weights[g])
+        np.testing.assert_allclose(weights[g], fitted.weights, rtol=0.0, atol=1e-9)
+        scale = np.abs(fitted.e_pre).max()
+        np.testing.assert_allclose(
+            smooth[:, g], fitted.e_pre, rtol=0.0, atol=1e-8 * scale
+        )
+
+
+def test_fit_rejects_overflowing_levels_by_name():
+    # Levels of 1e200 would overflow the weight program's gram; the input
+    # is named instead of an internal coefficient.
+    view = random_view(5, t0=20, n_donors=4)
+    huge = PrePostView(
+        y_pre=1e200 * view.y_pre, x_pre=1e200 * view.x_pre,
+        y_post=1e200 * view.y_post, x_post=1e200 * view.x_post,
+    )
+    with pytest.raises(ValueError, match=r"y_pre must be finite and within 1e\+100"):
+        hsc.fit(huge, hsc.HscConfig(rho=0.5))
+    post_only = PrePostView(
+        y_pre=view.y_pre, x_pre=view.x_pre, y_post=view.y_post,
+        x_post=np.full_like(view.x_post, np.inf),
+    )
+    with pytest.raises(ValueError, match="x_post must be finite"):
+        hsc.fit(post_only, hsc.HscConfig(rho=0.5, zeta=0.1))
+
+
 # --------------------------------------------------------- endpoint check
 
 @dataclass(frozen=True)

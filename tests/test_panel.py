@@ -45,6 +45,26 @@ def test_load_csv_treated_moves_to_column_zero(tmp_path):
     assert panel.donor_labels == ["AUS", "NZ"]
 
 
+def test_load_csv_names_a_bad_cell_by_its_labels(tmp_path):
+    # NZ is the treated unit, third in the file and column 0 of the panel;
+    # the message names the file's unit and time, not matrix positions.
+    rows = [r.replace("NZ,1993,3.2", "NZ,1993,nan") for r in BASIC_ROWS]
+    with pytest.raises(PanelDataError, match=r"nan at \(time='1993', unit='NZ'\)"):
+        load_csv(write_csv(tmp_path / "p.csv", rows), "NZ", t0=3)
+
+
+def test_load_csv_skips_blank_lines_and_reads_any_column_order(tmp_path):
+    rows = [",".join(reversed(r.split(","))) for r in BASIC_ROWS]
+    rows.insert(5, "")
+    path = write_csv(tmp_path / "p.csv", rows, header="outcome,time,unit")
+    panel = load_csv(path, "HK", t0=3)
+    assert panel.unit_labels == ["HK", "AUS", "NZ"]
+    np.testing.assert_array_equal(panel.outcomes[:, 1], [2.0, 2.1, 2.2, 2.3])
+    short = write_csv(tmp_path / "s.csv", BASIC_ROWS[:5] + ["", "AUS,1992"])
+    with pytest.raises(PanelDataError, match="short row at line 7"):
+        load_csv(short, "HK", t0=3)
+
+
 def test_load_csv_duplicate_row(tmp_path):
     rows = BASIC_ROWS + ["AUS,1992,9.9"]
     with pytest.raises(PanelDataError, match="duplicate observation"):
@@ -96,14 +116,14 @@ def test_load_csv_extra_time_for_one_unit(tmp_path):
 def test_panel_rejects_nan():
     y = np.ones((4, 3))
     y[2, 1] = np.nan
-    with pytest.raises(PanelDataError, match=r"\(time=2, unit=1\)"):
+    with pytest.raises(PanelDataError, match=r"\(time=2, unit='b'\)"):
         Panel(outcomes=y, t0=2, unit_labels=["a", "b", "c"])
 
 
 def test_panel_rejects_overflowing_levels():
     y = np.ones((4, 3))
     y[3, 2] = -2e100
-    with pytest.raises(PanelDataError, match=r"-2e\+100 at \(time=3, unit=2\)"):
+    with pytest.raises(PanelDataError, match=r"-2e\+100 at \(time=3, unit='c'\)"):
         Panel(outcomes=y, t0=2, unit_labels=["a", "b", "c"])
     y[3, 2] = 1e100  # the largest accepted magnitude
     Panel(outcomes=y, t0=2, unit_labels=["a", "b", "c"])

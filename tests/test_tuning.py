@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from harmonic_sc import hsc, qp, spectral, tuning
+from harmonic_sc import forecast, hsc, qp, spectral, tuning
 from harmonic_sc.panel import PrePostView
 
 
@@ -426,3 +428,101 @@ def test_candidates_evaluated_on_common_folds():
     assert result.per_fold_errors.shape == (3, 5, 1, 5)
     assert np.all(np.isfinite(result.table))
     assert result.best_candidate in plan.candidates
+
+
+# ---------------------------------------------------------------------------
+# stacked scoring against the per-grid-point reference
+
+
+def reference_cross_validate(y_pre, x_pre, plan):
+    """Rolling-origin CV scored one grid point at a time.
+
+    Each (candidate, fold, rho) builds its own program from the rescaled
+    eigen-coordinates, solves it warm-started along the grid, fits its own
+    forecast on the smooth part of that residual and scores it; selection
+    uses the tie rule of :func:`tuning.cross_validate`.  Returns the
+    per-fold errors, the exclusions and the selected (rho, candidate).
+    """
+    origins = tuning.rolling_origins(y_pre.size, plan.h, plan.folds)
+    grid = plan.rho_grid
+    per_fold = np.full((len(plan.candidates), plan.folds, plan.h, grid.size), np.nan)
+    excluded = []
+    for ci, (q, rule) in enumerate(plan.candidates):
+        for li, k in enumerate(origins):
+            y_tr, x_tr = y_pre[:k], x_pre[:k]
+            y_val, x_val = y_pre[k : k + plan.h], x_pre[k : k + plan.h]
+            zeta = hsc.auto_zeta(x_tr, plan.h) if plan.zeta == "auto" else plan.zeta
+            basis = spectral.spectral_basis(k, q)
+            v = basis.eigenvectors
+            u_y, u_x = v.T @ y_tr, v.T @ x_tr
+            weights = None
+            try:
+                for gi, rho in enumerate(grid):
+                    metric = spectral.rho_metric(basis, rho)
+                    root = np.sqrt(metric.match_gains)
+                    problem = qp.build(root * u_y, root[:, None] * u_x, zeta * zeta * k)
+                    weights = qp.solve(problem, init=weights).weights
+                    e = v @ (metric.shrink_gains * (u_y - u_x @ weights))
+                    fc = forecast.compose(
+                        rule, q, basis, e, plan.h,
+                        order=plan.ar_order, lags=plan.hamilton_lags,
+                    )
+                    per_fold[ci, li, :, gi] = (y_val - (x_val @ weights + fc)) ** 2
+            except forecast.ForecastError as exc:
+                excluded.append(((q, rule), k, str(exc)))
+                per_fold[ci] = np.nan
+                break
+    table = per_fold.mean(axis=(1, 2))
+    tie = 1e-10 * (np.abs(y_pre).max() + np.abs(x_pre).max())
+    best, best_min = None, np.inf
+    for ci, row in enumerate(table):
+        if not np.all(np.isfinite(row)):
+            continue
+        gi = int(np.nonzero(np.sqrt(row - row.min()) <= tie)[0][-1])
+        if best is None or np.sqrt(max(best_min - row.min(), 0.0)) > tie:
+            best, best_min = (float(grid[gi]), plan.candidates[ci]), row.min()
+    return per_fold, tuple(excluded), best
+
+
+@pytest.mark.parametrize("seed", [51, 52, 53])
+def test_stacked_scoring_matches_per_point_reference(seed):
+    # Every rule on both orders; then a plan whose long-lag hamilton fails
+    # on the first fold (24 training points, 25 needed) and is excluded.
+    rng = np.random.default_rng(seed)
+    y_pre, x_pre, _, _ = random_panel(rng, t0=30, n_donors=7, noise=0.4)
+    grid = np.linspace(0.0, 1.0, 11)
+    every_rule = tuning.CvPlan(
+        h=3, folds=4, rho_grid=grid, ar_order=3,
+        candidates=tuple((q, rule) for q in (1, 2) for rule in forecast.RULE_KINDS),
+    )
+    long_lags = tuning.CvPlan(
+        h=3, folds=4, rho_grid=grid, hamilton_lags=21,
+        candidates=((1, "last_constant"), (1, "hamilton"), (2, "ar")),
+    )
+    for plan in (every_rule, long_lags):
+        with warnings.catch_warnings(record=True) as stacked_warnings:
+            warnings.simplefilter("always")
+            result = tuning.cross_validate(y_pre, x_pre, plan)
+        with warnings.catch_warnings(record=True) as reference_warnings:
+            warnings.simplefilter("always")
+            errors, excluded, best = reference_cross_validate(y_pre, x_pre, plan)
+        assert_allclose(result.per_fold_errors, errors, rtol=1e-9, atol=0.0)
+        assert result.excluded == excluded
+        assert (result.best_rho, result.best_candidate) == best
+        assert len(stacked_warnings) == len(reference_warnings)
+    assert [c for c, _, _ in result.excluded] == [(1, "hamilton")]
+
+
+@pytest.mark.parametrize("error", [ValueError("broadcast bug"), IndexError("index bug")])
+def test_bugs_in_forecast_scoring_propagate(monkeypatch, error):
+    # Only forecast failures exclude a candidate; a bare ValueError or an
+    # IndexError from array code is a bug and must surface.
+    rng = np.random.default_rng(59)
+    y_pre, x_pre, _, _ = random_panel(rng, t0=24, n_donors=4)
+
+    def compose(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(forecast, "compose", compose)
+    with pytest.raises(type(error), match=f"^{error}$"):
+        tuning.cross_validate(y_pre, x_pre, tuning.CvPlan(h=2, folds=3))
