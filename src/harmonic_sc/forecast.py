@@ -339,7 +339,7 @@ def compose(
     ``r_pre`` is one path of shape (n,) or a stack of shape (n, m); each
     column gets its own rule, fitted on that column's remainder, and the
     forecasts come back as (horizon,) or (horizon, m).  Each column's
-    forecast is the one :func:`fit_composed` and
+    forecast is, up to rounding, the one :func:`fit_composed` and
     :meth:`ComposedForecaster.apply` give for that column alone.
     """
     r = np.asarray(r_pre, dtype=float)

@@ -142,7 +142,8 @@ class CvResult:
     excluded: tuple
 
 
-#: Failures that exclude a candidate from CV instead of aborting the run.
+#: Failures of a weight path that exclude every candidate of its q from CV
+#: instead of aborting the run.
 _CV_FAILURES = (
     ValueError, forecast.ForecastError, qp.SolverStall, spectral.EigenSolverError
 )
