@@ -13,6 +13,10 @@ The two add up to the realized error path.  On top of the split, each
 channel of the weight gap gets a computable bound (``channels``), which
 multiplies out to an envelope on the weight-gap term itself.
 
+``decompose`` runs the rho grid as one stack (see there); the single-fit
+entry points (``ab_decompose``, ``gradient_channels``, ``channels``) run
+the same code on a grid of one.
+
 Everything here requires the latent truth and is meant for simulation
 studies; none of it runs on observed data alone.
 """
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forecast, hsc, spectral
-from .panel import PrePostView
+from .panel import PrePostView, check_levels
 
 __all__ = [
     "LatentPanel",
@@ -87,8 +91,7 @@ class LatentPanel:
             )
         if sig.shape[1] < 2:
             raise ValueError("need a treated column plus at least one donor")
-        if not (np.all(np.isfinite(sig)) and np.all(np.isfinite(rem))):
-            raise ValueError("latent components must be finite")
+        check_levels(signal=sig, remainder=rem)
         if not 0 < self.t0 < sig.shape[0]:
             raise ValueError(
                 f"t0 must split the {sig.shape[0]} rows into two non-empty blocks"
@@ -170,22 +173,32 @@ def _oracle_parts(latent: LatentPanel, q: int, zeta: float) -> _OracleParts:
     )
 
 
-def _materialize_map(
+def _forecast_maps(
     forecaster: forecast.ComposedForecaster,
-    metric: spectral.RhoMetric,
+    basis: spectral.SpectralBasis,
+    shrink: np.ndarray,
     horizon: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linear part and offset of path -> forecast-of-smoothed-path.
+) -> np.ndarray:
+    """Linear parts ``pi`` (G, h, n) of path -> forecast-of-smoothed-path.
 
-    The composed forecaster with frozen coefficients is affine, so the whole
-    pipeline is pinned down by its action on the smoother's columns, applied
-    as one stack, minus its value at zero.  Returns ``(pi, offset)`` with
-    the map being ``r -> pi @ r + offset``.
+    Grid point g smooths with the gains ``shrink[g]`` and forecasts with
+    rule g of ``forecaster`` (its only rule, for a grid of one).  With its
+    coefficients frozen the forecaster is affine, so its linear part is its
+    action on the identity, as one stack, minus its value at zero; times
+    ``V diag(s_g) V'`` that is ``pi[g]``.
     """
-    v = metric.basis.eigenvectors
-    smoother = (v * metric.shrink_gains) @ v.T
-    offset = forecaster.apply(np.zeros(metric.basis.n), horizon)
-    return forecaster.apply(smoother, horizon) - offset[:, None], offset
+    v = basis.eigenvectors
+    offset = forecaster.apply(np.zeros(basis.n), horizon).reshape(-1, horizon, 1)
+    linear = forecaster.apply(np.eye(basis.n), horizon).reshape(-1, horizon, basis.n)
+    return ((linear - offset) @ v * shrink[:, None, :]) @ v.T
+
+
+def _own_forecasts(
+    forecaster: forecast.ComposedForecaster, paths: np.ndarray, horizon: int
+) -> np.ndarray:
+    """Column g of ``paths`` (n, G) forecast by rule g: shape (G, h)."""
+    out = forecaster.apply(paths, horizon).reshape(-1, horizon, paths.shape[1])
+    return np.diagonal(out, axis1=0, axis2=2).T
 
 
 @dataclass(frozen=True)
@@ -204,6 +217,31 @@ class AbTerms:
     eta_post: np.ndarray
 
 
+def _split(
+    latent: LatentPanel,
+    parts: _OracleParts,
+    basis: spectral.SpectralBasis,
+    shrink: np.ndarray,
+    weights: np.ndarray,
+    smooth: np.ndarray,
+    forecaster: forecast.ComposedForecaster,
+    pi: np.ndarray,
+) -> dict:
+    """``term_a``, ``term_b`` and ``realized_error`` along a grid, (G, h)
+    each, for the fits with weights ``weights`` (G, donors), smooth parts
+    ``smooth`` (n, G), forecast rules ``forecaster`` and maps ``pi``."""
+    view = latent.to_view()
+    v = basis.eigenvectors
+    smoothed = v @ (shrink.T * (v.T @ parts.r_pre)[:, None])  # S_g r_pre
+    gap = (parts.weights - weights)[:, :, None]
+    fitted = weights @ view.x_post.T + _own_forecasts(forecaster, smooth, latent.t_post)
+    return {
+        "term_a": ((view.x_post - pi @ view.x_pre) @ gap)[:, :, 0],
+        "term_b": parts.r_post - _own_forecasts(forecaster, smoothed, latent.t_post),
+        "realized_error": view.y_post - fitted,
+    }
+
+
 def ab_decompose(latent: LatentPanel, fit: hsc.HscFit) -> AbTerms:
     """Split the fit's error into weight-gap and continuation terms.
 
@@ -216,32 +254,39 @@ def ab_decompose(latent: LatentPanel, fit: hsc.HscFit) -> AbTerms:
     cfg = fit.config
     parts = _oracle_parts(latent, cfg.q, fit.zeta)
     basis = spectral.spectral_basis(latent.t0, cfg.q)
-    metric = spectral.rho_metric(basis, cfg.rho)
-    pi, _ = _materialize_map(fit.forecaster, metric, latent.t_post)
-    return _ab_terms(latent, fit, parts, metric, pi)
-
-
-def _ab_terms(
-    latent: LatentPanel,
-    fit: hsc.HscFit,
-    parts: _OracleParts,
-    metric: spectral.RhoMetric,
-    pi: np.ndarray,
-) -> AbTerms:
-    """:func:`ab_decompose` given the oracle parts and the fit's forecast map."""
-    view = latent.to_view()
-    term_a = (view.x_post - pi @ view.x_pre) @ (parts.weights - fit.weights)
-    smoothed = spectral.smoother_apply(metric, parts.r_pre)
-    term_b = parts.r_post - fit.forecaster.apply(smoothed, latent.t_post)
-    realized = view.y_post - fit.counterfactual
+    shrink, _ = spectral.path_gains(basis, (cfg.rho,))
+    pi = _forecast_maps(fit.forecaster, basis, shrink, latent.t_post)
+    split = _split(
+        latent, parts, basis, shrink, fit.weights[None], fit.e_pre[:, None],
+        fit.forecaster, pi,
+    )
     return AbTerms(
-        term_a=term_a,
-        term_b=term_b,
-        realized_error=realized,
+        **{name: value[0] for name, value in split.items()},
         oracle_weights=parts.weights,
         eta_pre=parts.eta_pre,
         eta_post=parts.eta_post,
     )
+
+
+def _gradients(
+    latent: LatentPanel,
+    basis: spectral.SpectralBasis,
+    match: np.ndarray,
+    parts: _OracleParts,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`gradient_channels` at each row of metric gains ``match``:
+    (G, donors) each."""
+    t0 = latent.t0
+    v = basis.eigenvectors
+
+    def metric_apply(r: np.ndarray) -> np.ndarray:  # row g is W_g r
+        return (match * (v.T @ r)) @ v.T
+
+    w_e_signal = metric_apply(parts.e_signal)
+    g1 = (w_e_signal - basis.project_perp(parts.e_signal)) @ latent.signal[:t0, 1:]
+    g2 = w_e_signal @ latent.remainder[:t0, 1:]
+    g3 = metric_apply(parts.e_remainder) @ latent.to_view().x_pre
+    return g1, g2, g3
 
 
 def gradient_channels(
@@ -255,24 +300,9 @@ def gradient_channels(
     """
     parts = _oracle_parts(latent, q, zeta)
     basis = spectral.spectral_basis(latent.t0, q)
-    metric = spectral.rho_metric(basis, rho)
-    return _gradient_channels(latent, metric, parts)
-
-
-def _gradient_channels(
-    latent: LatentPanel, metric: spectral.RhoMetric, parts: _OracleParts
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`gradient_channels` given the metric and the oracle parts."""
-    t0 = latent.t0
-    l0 = latent.signal[:t0, 1:]
-    r0 = latent.remainder[:t0, 1:]
-    x_pre = latent.to_view().x_pre
-    w_e_signal = spectral.metric_apply(metric, parts.e_signal)
-    perp_e_signal = metric.basis.project_perp(parts.e_signal)
-    g1 = l0.T @ (w_e_signal - perp_e_signal)
-    g2 = r0.T @ w_e_signal
-    g3 = x_pre.T @ spectral.metric_apply(metric, parts.e_remainder)
-    return g1, g2, g3
+    _, match = spectral.path_gains(basis, (rho,))
+    g1, g2, g3 = _gradients(latent, basis, match, parts)
+    return g1[0], g2[0], g3[0]
 
 
 @dataclass(frozen=True)
@@ -299,6 +329,50 @@ class ChannelReport:
     condition: float
 
 
+def _channel_bounds(
+    latent: LatentPanel,
+    parts: _OracleParts,
+    basis: spectral.SpectralBasis,
+    match: np.ndarray,
+    zeta: float,
+    pi: np.ndarray,
+) -> dict:
+    """The :class:`ChannelReport` fields at each row of metric gains
+    ``match`` and forecast maps ``pi``, one (G,) array per field."""
+    t0 = latent.t0
+    view = latent.to_view()
+    v = basis.eigenvectors
+    g1, g2, g3 = _gradients(latent, basis, match, parts)
+
+    design = np.sqrt(match)[:, :, None] * (v.T @ view.x_pre)
+    q_mat = design.transpose(0, 2, 1) @ design / t0 + zeta * zeta * np.eye(
+        latent.n_donors
+    )
+    evals, evecs = np.linalg.eigh((q_mat + q_mat.transpose(0, 2, 1)) / 2.0)
+    keep = evals > 1e-12 * np.maximum(evals[:, -1:], 0.0)
+    if not keep.any(axis=1).all():
+        raise ValueError("curvature matrix is numerically zero; nothing to invert")
+    inv = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
+    q_max_inv_eig = inv.max(axis=1)
+
+    def dual_norm(g: np.ndarray) -> np.ndarray:
+        coef = (g[:, None, :] @ evecs)[:, 0]
+        return np.sqrt(np.sum(inv * coef * coef, axis=1))
+
+    a1 = dual_norm(g1) / t0
+    a2 = dual_norm(g2) / t0
+    coef = v.T @ parts.e_remainder
+    a3 = np.sqrt(np.sum(match * coef * coef, axis=1) / t0)
+
+    scaled = ((view.x_post - pi @ view.x_pre) @ evecs) * np.sqrt(inv)[:, None, :]
+    transfer = np.linalg.norm(scaled, 2, axis=(1, 2))
+    return dict(
+        a1=a1, a2=a2, a3=a3, q_max_inv_eig=q_max_inv_eig, transfer=transfer,
+        envelope=transfer * (a1 + a2 + a3), pseudo_inverse=~keep.all(axis=1),
+        condition=evals[:, -1] * q_max_inv_eig,
+    )
+
+
 def channels(
     latent: LatentPanel,
     rho: float,
@@ -315,63 +389,15 @@ def channels(
     ``forecaster`` uses the parameter-free constant continuation.
     """
     basis = spectral.spectral_basis(latent.t0, q)
-    metric = spectral.rho_metric(basis, rho)
+    shrink, match = spectral.path_gains(basis, (rho,))
     if forecaster is None:
-        rule = forecast.fit_rule("last_constant", q, np.zeros(basis.n), latent.t_post)
-        forecaster = forecast.ComposedForecaster(rule=rule, basis=basis)
+        forecaster = forecast.fit_composed(
+            "last_constant", q, basis, np.zeros(basis.n), latent.t_post
+        )
     parts = _oracle_parts(latent, q, zeta)
-    pi, _ = _materialize_map(forecaster, metric, latent.t_post)
-    return _channel_report(latent, metric, zeta, parts, pi)
-
-
-def _channel_report(
-    latent: LatentPanel,
-    metric: spectral.RhoMetric,
-    zeta: float,
-    parts: _OracleParts,
-    pi: np.ndarray,
-) -> ChannelReport:
-    """:func:`channels` given the oracle parts and the forecast map."""
-    t0 = latent.t0
-    view = latent.to_view()
-    g1, g2, g3 = _gradient_channels(latent, metric, parts)
-
-    design = spectral.sqrt_factor(metric) @ view.x_pre
-    q_mat = design.T @ design / t0 + zeta * zeta * np.eye(latent.n_donors)
-    q_mat = (q_mat + q_mat.T) / 2.0
-    evals, evecs = np.linalg.eigh(q_mat)
-    cutoff = 1e-12 * max(evals[-1], 0.0)
-    keep = evals > cutoff
-    if not np.any(keep):
-        raise ValueError("curvature matrix is numerically zero; nothing to invert")
-    inv = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
-    pseudo = bool(np.any(~keep))
-    q_max_inv_eig = float(np.max(inv))
-    condition = float(evals[-1] * q_max_inv_eig)
-
-    def dual_norm(g: np.ndarray) -> float:
-        coef = evecs.T @ g
-        return float(np.sqrt(np.sum(inv * coef * coef)))
-
-    a1 = dual_norm(g1) / t0
-    a2 = dual_norm(g2) / t0
-    a3 = float(
-        np.sqrt(spectral.metric_quadform(metric, parts.e_remainder) / t0)
-    )
-
-    c_mat = view.x_post - pi @ view.x_pre
-    transfer = float(np.linalg.norm((c_mat @ evecs) * np.sqrt(inv), 2))
-    envelope = transfer * (a1 + a2 + a3)
-    return ChannelReport(
-        a1=a1,
-        a2=a2,
-        a3=a3,
-        q_max_inv_eig=q_max_inv_eig,
-        transfer=transfer,
-        envelope=envelope,
-        pseudo_inverse=pseudo,
-        condition=condition,
-    )
+    pi = _forecast_maps(forecaster, basis, shrink, latent.t_post)
+    bounds = _channel_bounds(latent, parts, basis, match, zeta, pi)
+    return ChannelReport(**{name: value[0].item() for name, value in bounds.items()})
 
 
 @dataclass(frozen=True)
@@ -417,66 +443,33 @@ def decompose(
 
     The ridge level is resolved once up front (the data-driven default uses
     the observed donor block) and shared by every grid point and by the
-    oracle, so differences along the grid isolate the smoothing level.
+    oracle, so differences along the grid isolate the smoothing level.  The
+    grid is one computation: one :func:`hsc.fit_path` walk, one forecaster
+    fitted on the stack of smooth parts (one rule per rho), and the split
+    and channel bounds with a leading grid axis.
     """
+    hsc.HscConfig(rho=0.0, q=q, rule_kind=rule_kind, zeta=zeta)  # checks q, rule, zeta
+    if latent.t0 < q + 2:
+        raise ValueError(
+            f"need at least q+2 = {q + 2} pre-treatment periods, got {latent.t0}"
+        )
+    grid = np.asarray(DEFAULT_RHO_GRID if rho_grid is None else rho_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("rho_grid must be a non-empty 1-D array")
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValueError("rho_grid must be strictly increasing")
+    basis = spectral.spectral_basis(latent.t0, q)
+    shrink, match = spectral.path_gains(basis, grid)  # checks 0 <= rho <= 1
     view = latent.to_view()
-    if rho_grid is None:
-        grid = np.array(DEFAULT_RHO_GRID, dtype=float)
-    else:
-        grid = np.asarray(rho_grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValueError("rho_grid must be a non-empty 1-D array")
-        if np.any(~np.isfinite(grid)) or np.any(grid < 0.0) or np.any(grid > 1.0):
-            raise ValueError("rho_grid values must lie in [0, 1]")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValueError("rho_grid must be strictly increasing")
-    if zeta == "auto":
-        zeta_val = hsc.auto_zeta(view.x_pre, view.t_post)
-    else:
-        zeta_val = float(zeta)
-        if zeta_val < 0.0 or not np.isfinite(zeta_val):
-            raise ValueError(f"zeta must be finite and nonnegative, got {zeta_val}")
+    zeta_val = hsc.auto_zeta(view.x_pre, view.t_post) if zeta == "auto" else float(zeta)
 
     parts = _oracle_parts(latent, q, zeta_val)
-    n_grid = grid.size
-    weights = np.empty((n_grid, latent.n_donors))
-    term_a = np.empty((n_grid, latent.t_post))
-    term_b = np.empty((n_grid, latent.t_post))
-    realized = np.empty((n_grid, latent.t_post))
-    rmse = np.empty(n_grid)
-    a1 = np.empty(n_grid)
-    a2 = np.empty(n_grid)
-    a3 = np.empty(n_grid)
-    q_max_inv = np.empty(n_grid)
-    transfer = np.empty(n_grid)
-    envelope = np.empty(n_grid)
-    pseudo = np.zeros(n_grid, dtype=bool)
-    condition = np.empty(n_grid)
-
-    basis = spectral.spectral_basis(latent.t0, q)
-    for g, rho in enumerate(grid):
-        cfg = hsc.HscConfig(rho=float(rho), q=q, rule_kind=rule_kind, zeta=zeta_val)
-        fit = hsc.fit(view, cfg)
-        # One oracle solve and one forecast map per grid point serve both
-        # the error split and the channel bounds.
-        metric = spectral.rho_metric(basis, cfg.rho)
-        pi, _ = _materialize_map(fit.forecaster, metric, latent.t_post)
-        ab = _ab_terms(latent, fit, parts, metric, pi)
-        ch = _channel_report(latent, metric, zeta_val, parts, pi)
-        weights[g] = fit.weights
-        term_a[g] = ab.term_a
-        term_b[g] = ab.term_b
-        realized[g] = ab.realized_error
-        rmse[g] = float(np.sqrt(np.mean(ab.realized_error**2)))
-        a1[g] = ch.a1
-        a2[g] = ch.a2
-        a3[g] = ch.a3
-        q_max_inv[g] = ch.q_max_inv_eig
-        transfer[g] = ch.transfer
-        envelope[g] = ch.envelope
-        pseudo[g] = ch.pseudo_inverse
-        condition[g] = ch.condition
-
+    _, weights, smooth = hsc.fit_path(
+        view.y_pre, view.x_pre, basis, grid, zeta_val * zeta_val * latent.t0
+    )
+    forecaster = forecast.fit_composed(rule_kind, q, basis, smooth, latent.t_post)
+    pi = _forecast_maps(forecaster, basis, shrink, latent.t_post)
+    split = _split(latent, parts, basis, shrink, weights, smooth, forecaster, pi)
     return DecompReport(
         rho_grid=grid,
         q=q,
@@ -488,16 +481,7 @@ def decompose(
         eta_pre=parts.eta_pre,
         eta_post=parts.eta_post,
         weights=weights,
-        term_a=term_a,
-        term_b=term_b,
-        realized_error=realized,
-        rmse=rmse,
-        a1=a1,
-        a2=a2,
-        a3=a3,
-        q_max_inv_eig=q_max_inv,
-        transfer=transfer,
-        envelope=envelope,
-        pseudo_inverse=pseudo,
-        condition=condition,
+        rmse=np.sqrt(np.mean(split["realized_error"] ** 2, axis=1)),
+        **split,
+        **_channel_bounds(latent, parts, basis, match, zeta_val, pi),
     )

@@ -12,13 +12,15 @@ without error, so any of the rules below — holding the last value, an
 ARIMA(1,1,0) on differences, a stationary AR(p), or Hamilton-style direct
 h-step regressions — becomes admissible once composed.
 
-Every rule is fitted column-wise: the fitting helpers take a stack of
-remainder paths, shape (n, m), and estimate one rule per column in one pass
+Every rule is fitted column-wise: :func:`fit_composed` takes one path of
+shape (n,) or a stack of paths of shape (n, m), such as the smooth residual
+parts along a rho grid, and estimates one rule per column in one pass
 (column sums for ``arima110``, one batched least-squares solve for ``ar``
 and for each ``hamilton`` horizon, stacked companion eigenvalues for the
-``ar`` stationarity check).  :func:`compose` forecasts a whole stack, such
-as the smooth residual parts along a rho grid, with its own rule per
-column; :func:`fit_rule` and :func:`fit_composed` are the one-column case.
+``ar`` stationarity check).  A forecaster fitted on a stack holds m rules
+and applies each of them to every input path, which adds a leading axis of
+length m to the forecasts; :func:`compose` takes the diagonal, each
+column's forecast by its own rule.
 
 A fitted rule is frozen in a :class:`ForecastRule` as an explicit affine
 operator ``matrix @ z[-p:] + offset`` on the last p values of its input
@@ -50,7 +52,10 @@ class ForecastRule:
 
     The forecast of a path ``z`` is ``matrix @ z[-p:] + offset``, where
     ``matrix`` has shape ``(horizon, p)`` for the fitted horizon and the
-    ``p`` tail values the rule reads.  ``fitted_params`` layout by kind:
+    ``p`` tail values the rule reads.  A rule fitted on a stack of m paths
+    holds m such operators, ``matrix`` (m, horizon, p) and ``offset``
+    (m, horizon), and ``fitted_params`` then holds one tuple per path.
+    ``fitted_params`` layout by kind:
 
     - ``last_constant``: empty tuple.
     - ``arima110``: ``(phi,)`` from the no-intercept difference regression.
@@ -108,7 +113,7 @@ def _fit_arima110(z: np.ndarray, horizon: int) -> tuple:
             f"arima110 difference coefficient {value:.4f} is nonstationary; "
             "forecasts proceed over the finite horizon",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=3,
         )
     # z[-1] + g_h (z[-1] - z[-2]) with g_h = phi + ... + phi^h, as weights
     # on z[-2:].
@@ -151,7 +156,7 @@ def _fit_ar(z: np.ndarray, order: int, horizon: int) -> tuple:
             f"ar({order}) fit is nonstationary (max root modulus "
             f"{value:.4f}); forecasts proceed",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=3,
         )
     # Companion recursion on the unit functionals of (z[-p:], 1): the first
     # p rows are the tail values themselves, row p + h - 1 holds the
@@ -177,49 +182,6 @@ def _fit_hamilton(z: np.ndarray, horizon: int, lags: int) -> tuple:
     return params, table[:, :, :0:-1], table[:, :, 0]
 
 
-def _fit_stack(
-    rule_kind: str, q: int, z: np.ndarray, horizon: int, order: int, lags: int
-) -> tuple:
-    """Fit one rule per column of ``z`` (n, m), all for ``horizon`` steps.
-
-    Returns the fitted parameters of each column, the operator matrices
-    (m, horizon, p) and the offsets (m, horizon).
-    """
-    if rule_kind not in RULE_KINDS:
-        raise ForecastError(
-            f"unknown forecast rule {rule_kind!r}; choose from {', '.join(RULE_KINDS)}"
-        )
-    _check_order(q)
-    n, m = z.shape
-    if horizon < 1:
-        raise ForecastError(f"horizon must be positive, got {horizon}")
-
-    if rule_kind == "last_constant":
-        if n < 1:
-            raise ForecastError("last_constant needs at least 1 observation")
-        return [()] * m, np.ones((m, horizon, 1)), np.zeros((m, horizon))
-    if rule_kind == "arima110":
-        if n < 3:
-            raise ForecastError(f"arima110 needs at least 3 observations, got {n}")
-        return _fit_arima110(z, horizon)
-    if rule_kind == "ar":
-        if order < 1:
-            raise ForecastError(f"ar order must be positive, got {order}")
-        if n < order + 2:
-            raise ForecastError(
-                f"ar({order}) needs at least {order + 2} observations, got {n}"
-            )
-        return _fit_ar(z, order, horizon)
-    if lags < 1:
-        raise ForecastError(f"hamilton lag count must be positive, got {lags}")
-    if n < horizon + lags + 1:
-        raise ForecastError(
-            f"hamilton with horizon {horizon} needs at least "
-            f"{horizon + lags + 1} observations, got {n}"
-        )
-    return _fit_hamilton(z, horizon, lags)
-
-
 def fit_rule(
     rule_kind: str,
     q: int,
@@ -232,38 +194,74 @@ def fit_rule(
 
     ``hamilton`` fits one direct regression per step ahead; the other kinds
     fit one regression and iterate it.  ``order`` is the ar lag order;
-    ``lags`` the hamilton predictor count.  This is the one-column case of
-    the stacked fit :func:`compose` runs.
+    ``lags`` the hamilton predictor count.  ``z`` is one series (n,) or a
+    stack (n, m), which gets one rule per column in one pass.
     """
+    if rule_kind not in RULE_KINDS:
+        raise ForecastError(
+            f"unknown forecast rule {rule_kind!r}; choose from {', '.join(RULE_KINDS)}"
+        )
+    _check_order(q)
     z = np.asarray(z, dtype=float)
-    if z.ndim != 1:
-        raise ForecastError("remainder series must be a vector")
-    params, matrix, offset = _fit_stack(rule_kind, q, z[:, None], horizon, order, lags)
+    if z.ndim not in (1, 2):
+        raise ForecastError("remainder series must be a vector or an (n, m) stack")
+    stack = z.reshape(z.shape[0], -1)
+    n, m = stack.shape
+    if horizon < 1:
+        raise ForecastError(f"horizon must be positive, got {horizon}")
+
+    if rule_kind == "last_constant":
+        if n < 1:
+            raise ForecastError("last_constant needs at least 1 observation")
+        fitted = [()] * m, np.ones((m, horizon, 1)), np.zeros((m, horizon))
+    elif rule_kind == "arima110":
+        if n < 3:
+            raise ForecastError(f"arima110 needs at least 3 observations, got {n}")
+        fitted = _fit_arima110(stack, horizon)
+    elif rule_kind == "ar":
+        if order < 1:
+            raise ForecastError(f"ar order must be positive, got {order}")
+        if n < order + 2:
+            raise ForecastError(
+                f"ar({order}) needs at least {order + 2} observations, got {n}"
+            )
+        fitted = _fit_ar(stack, order, horizon)
+    else:
+        if lags < 1:
+            raise ForecastError(f"hamilton lag count must be positive, got {lags}")
+        if n < horizon + lags + 1:
+            raise ForecastError(
+                f"hamilton with horizon {horizon} needs at least "
+                f"{horizon + lags + 1} observations, got {n}"
+            )
+        fitted = _fit_hamilton(stack, horizon, lags)
+    params, matrix, offset = fitted if z.ndim == 2 else [part[0] for part in fitted]
     return ForecastRule(
-        kind=rule_kind, q=int(q), fitted_params=params[0], matrix=matrix[0],
-        offset=offset[0],
+        kind=rule_kind, q=int(q), fitted_params=tuple(params), matrix=matrix,
+        offset=offset,
     )
 
 
 def apply_rule(rule: ForecastRule, z: np.ndarray, horizon: int) -> np.ndarray:
     """Forecast ``horizon`` steps from ``z``: ``matrix @ z[-p:] + offset``.
 
-    ``z`` is one path of shape (n,) or a stack of paths of shape (n, m),
-    forecast column by column.  Affine in ``z`` by construction, so
-    superposition (up to the constant term) holds exactly for any fitted
-    rule.
+    ``z`` is one path of shape (n,) or a stack of paths of shape (n, k),
+    forecast column by column; a rule holding m operators forecasts with
+    each of them, in a leading axis of length m.  Affine in ``z`` by
+    construction, so superposition (up to the constant term) holds exactly
+    for any fitted rule.
     """
     z = np.asarray(z, dtype=float)
-    fitted, p = rule.matrix.shape
+    fitted, p = rule.matrix.shape[-2:]
     if not 1 <= horizon <= fitted:
         raise ForecastError(
             f"{rule.kind} rule was fitted for horizons 1..{fitted}, asked for {horizon}"
         )
     if z.ndim not in (1, 2) or z.shape[0] < p:
         raise ForecastError(f"{rule.kind} application needs at least {p} observations")
-    offset = rule.offset[:horizon]
-    out = rule.matrix[:horizon] @ z[z.shape[0] - p :]
-    return out + (offset if z.ndim == 1 else offset[:, None])
+    offset = rule.offset[..., :horizon]
+    out = rule.matrix[..., :horizon, :] @ z[z.shape[0] - p :]
+    return out + (offset if z.ndim == 1 else offset[..., None])
 
 
 @dataclass(frozen=True)
@@ -272,14 +270,19 @@ class ComposedForecaster:
 
     With the rule's coefficients fixed, applying the composed operator is
     affine in the input path, which is what makes it reusable on paths other
-    than the one it was fitted on.
+    than the one it was fitted on.  A forecaster fitted on a stack of m
+    paths holds m rules (see :class:`ForecastRule`).
     """
 
     rule: ForecastRule
     basis: SpectralBasis
 
     def apply(self, r: np.ndarray, horizon: int) -> np.ndarray:
-        """Forecast a path of shape (n,) or each column of an (n, m) stack."""
+        """Forecast a path of shape (n,) or each column of an (n, k) stack.
+
+        Returns (horizon,) or (horizon, k) forecasts, with a leading axis of
+        length m when the forecaster holds m rules.
+        """
         r = np.asarray(r, dtype=float)
         if r.ndim not in (1, 2) or r.shape[0] != self.basis.n:
             raise ForecastError(
@@ -292,19 +295,6 @@ class ComposedForecaster:
         )
 
 
-def _undusted(rest: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``rest``, with every column that is floating-point dust of ``r``'s
-    column set to zero.
-
-    Projection of a path that already lies in the null space leaves only
-    floating-point dust; fitting an autoregression to that dust produces
-    arbitrary coefficients (and spurious nonstationarity warnings), so a
-    negligible remainder is treated as exactly zero.
-    """
-    dust = np.abs(rest).max(axis=0) <= 1e-12 * np.abs(r).max(axis=0)
-    return np.where(dust, 0.0, rest) if dust.any() else rest
-
-
 def fit_composed(
     rule_kind: str,
     q: int,
@@ -314,14 +304,24 @@ def fit_composed(
     order: int = 4,
     lags: int = 4,
 ) -> ComposedForecaster:
-    """Fit the data-driven rule on ``Pperp r_pre`` and freeze the composition."""
-    r_pre = np.asarray(r_pre, dtype=float)
-    if r_pre.shape != (basis.n,):
+    """Fit the data-driven rule on ``Pperp r_pre`` and freeze the composition.
+
+    ``r_pre`` is one path (n,) or a stack (n, m) with one rule per column.
+    Projecting a path that already lies in the null space leaves only
+    floating-point dust, and an autoregression fitted to dust has arbitrary
+    coefficients (and spurious nonstationarity warnings), so a column whose
+    remainder is negligible against the column is fitted as exactly zero.
+    """
+    r = np.asarray(r_pre, dtype=float)
+    if r.ndim not in (1, 2) or r.shape[0] != basis.n:
         raise ForecastError(
-            f"path length {r_pre.shape} does not match basis size {basis.n}"
+            f"path length {r.shape} does not match basis size {basis.n}"
         )
-    rest = _undusted(basis.project_perp(r_pre), r_pre)
-    rule = fit_rule(rule_kind, q, rest, horizon, order=order, lags=lags)
+    rest = basis.project_perp(r)
+    dust = np.abs(rest).max(axis=0) <= 1e-12 * np.abs(r).max(axis=0)
+    rule = fit_rule(
+        rule_kind, q, np.where(dust, 0.0, rest), horizon, order=order, lags=lags
+    )
     return ComposedForecaster(rule=rule, basis=basis)
 
 
@@ -338,23 +338,11 @@ def compose(
 
     ``r_pre`` is one path of shape (n,) or a stack of shape (n, m); each
     column gets its own rule, fitted on that column's remainder, and the
-    forecasts come back as (horizon,) or (horizon, m).  Each column's
-    forecast is, up to rounding, the one :func:`fit_composed` and
-    :meth:`ComposedForecaster.apply` give for that column alone.
+    forecasts come back as (horizon,) or (horizon, m): the
+    :func:`fit_composed` forecaster applied to ``r_pre``, each column
+    forecast by its own rule.
     """
-    r = np.asarray(r_pre, dtype=float)
-    if r.ndim not in (1, 2) or r.shape[0] != basis.n:
-        raise ForecastError(
-            f"path length {r.shape} does not match basis size {basis.n}"
-        )
-    stack = r.reshape(basis.n, -1)
-    null_part = basis.project_null(stack)
-    rest = stack - null_part
-    _, matrix, offset = _fit_stack(
-        rule_kind, q, _undusted(rest, stack), horizon, order, lags
-    )
-    tail = rest[basis.n - matrix.shape[2] :].T[:, :, None]
-    out = null_continuation(null_part, q, horizon) + (
-        np.matmul(matrix, tail)[:, :, 0] + offset
-    ).T
-    return out if r.ndim == 2 else out[:, 0]
+    out = fit_composed(
+        rule_kind, q, basis, r_pre, horizon, order=order, lags=lags
+    ).apply(r_pre, horizon)
+    return out if out.ndim == 1 else np.diagonal(out, axis1=0, axis2=2)

@@ -18,8 +18,9 @@ are diagonal rescalings; no T0 x T0 system is ever solved per candidate rho.
 :func:`fit_path` is the one weight path: it assembles the profiled program
 of every rho of a grid in one batched product, solves them along the grid,
 and returns the weights and smooth parts as arrays (one row, respectively
-column, per rho); :func:`fit` (a grid of one), the oracle weights of
-``decomp`` and the cross-validation of ``tuning`` all go through it.
+column, per rho); :func:`fit` (a grid of one), the oracle weights and the
+grid sweep of ``decomp.decompose`` and the cross-validation of ``tuning``
+all go through it.
 """
 
 from __future__ import annotations

@@ -146,6 +146,14 @@ def spectral_basis(n: int, q: int) -> SpectralBasis:
     return eigendecompose(penalty_matrix(n, q), q)
 
 
+def _interior_gains(mu, rho):
+    """``s = (1-rho)/((1-rho)+rho*mu)`` and ``w = mu/((1-rho)+rho*mu)``,
+    broadcast over ``mu`` and ``rho``."""
+    keep = 1.0 - rho
+    denom = keep + rho * mu
+    return keep / denom, mu / denom
+
+
 def gains(mu, rho: float):
     """Spectral gains ``(s, w)`` of the smoother and the matching metric.
 
@@ -162,17 +170,12 @@ def gains(mu, rho: float):
     mu_arr = np.asarray(mu, dtype=float)
     if np.any(mu_arr < -1e-12):
         raise ValueError("eigenvalues must be nonnegative")
-    if rho == 0.0:
-        s = np.ones_like(mu_arr)
-        w = mu_arr.copy()
-    elif rho == 1.0:
+    if rho == 1.0:
         null = mu_arr <= 1e-9
         s = np.where(null, 1.0, 0.0)
         w = np.where(null, 0.0, 1.0)
-    else:
-        denom = (1.0 - rho) + rho * mu_arr
-        s = (1.0 - rho) / denom
-        w = mu_arr / denom
+    else:  # exact at rho = 0 too: s = 1/1, w = mu/1
+        s, w = _interior_gains(mu_arr, rho)
     if np.isscalar(mu) or np.ndim(mu) == 0:
         return float(s), float(w)
     return s, w
@@ -210,13 +213,9 @@ def path_gains(basis: SpectralBasis, rho_grid) -> tuple[np.ndarray, np.ndarray]:
     if not inside.all():
         raise ValueError(f"rho must lie in [0, 1], got {rho[~inside][0]}")
     q = basis.null_dim
-    mu = basis.eigenvalues[q:]
-    keep = 1.0 - rho
-    denom = keep + rho * mu
     shrink = np.ones((rho.size, basis.n))
     match = np.zeros((rho.size, basis.n))
-    shrink[:, q:] = keep / denom
-    match[:, q:] = mu / denom
+    shrink[:, q:], match[:, q:] = _interior_gains(basis.eigenvalues[q:], rho)
     return shrink, match
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -47,6 +49,8 @@ def test_latent_panel_validation():
     bad[3, 1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         decomp.LatentPanel(signal=bad, remainder=good, t0=5)
+    with pytest.raises(ValueError, match="^remainder must be finite and within"):
+        decomp.LatentPanel(signal=good, remainder=good + 1e160, t0=5)
     for t0 in (0, 10, 11):
         with pytest.raises(ValueError, match="t0"):
             decomp.LatentPanel(signal=good, remainder=good, t0=t0)
@@ -150,7 +154,7 @@ def test_continuation_term_direct_form(rho):
 
 
 def materialize_map_by_columns(forecaster, metric, horizon):
-    """Oracle for ``decomp._materialize_map``: one application per column.
+    """Oracle for ``decomp._forecast_maps``: one application per column.
 
     The affine forecast map is pinned down by its action on each column of
     the smoother plus its value at zero.
@@ -174,13 +178,14 @@ def test_materialized_map_matches_affine_application():
         for rule in forecast.RULE_KINDS:
             cfg = hsc.HscConfig(rho=0.7, q=q, rule_kind=rule, zeta=0.3)
             fit = hsc.fit(latent.to_view(), cfg)
-            pi, offset = decomp._materialize_map(fit.forecaster, metric, latent.t_post)
-            pi_ref, offset_ref = materialize_map_by_columns(
+            (pi,) = decomp._forecast_maps(
+                fit.forecaster, basis, metric.shrink_gains[None], latent.t_post
+            )
+            pi_ref, offset = materialize_map_by_columns(
                 fit.forecaster, metric, latent.t_post
             )
-            scale = np.max(np.abs(pi_ref)) + np.max(np.abs(offset_ref))
+            scale = np.max(np.abs(pi_ref)) + np.max(np.abs(offset))
             npt.assert_allclose(pi, pi_ref, rtol=0.0, atol=1e-12 * scale)
-            npt.assert_array_equal(offset, offset_ref)
             for _ in range(5):
                 r = rng.normal(size=latent.t0)
                 direct = fit.forecaster.apply(
@@ -363,6 +368,13 @@ def test_decompose_validates_inputs():
         decomp.decompose(latent, rho_grid=[0.0, 1.5])
     with pytest.raises(ValueError, match="zeta"):
         decomp.decompose(latent, zeta=-1.0)
+    with pytest.raises(ValueError, match="unknown forecast rule 'bogus'"):
+        decomp.decompose(latent, rule_kind="bogus")
+    with pytest.raises(ValueError, match="order q must be 1 or 2"):
+        decomp.decompose(latent, q=3)
+    short, _ = make_latent(seed=62, t0=3)
+    with pytest.raises(ValueError, match=r"q\+2 = 4 pre-treatment periods, got 3"):
+        decomp.decompose(short, q=2)
 
 
 def test_decompose_resolves_ridge_once():
@@ -378,3 +390,133 @@ def test_ab_decompose_rejects_mismatched_fit():
     fit = hsc.fit(other.to_view(), hsc.HscConfig(rho=0.5, q=1, zeta=0.3))
     with pytest.raises(ValueError, match="dimensions"):
         decomp.ab_decompose(latent, fit)
+
+
+# ---------------------------------------------------------------------------
+# Per-point reference
+
+
+def reference_materialize_map(forecaster, metric, horizon):
+    """The forecast map of one grid point, from the smoother applied as one
+    stack."""
+    v = metric.basis.eigenvectors
+    smoother = (v * metric.shrink_gains) @ v.T
+    offset = forecaster.apply(np.zeros(metric.basis.n), horizon)
+    return forecaster.apply(smoother, horizon) - offset[:, None], offset
+
+
+def reference_ab_terms(latent, fit, parts, metric, pi):
+    """The error split of one fit, given the oracle parts and its map."""
+    view = latent.to_view()
+    term_a = (view.x_post - pi @ view.x_pre) @ (parts.weights - fit.weights)
+    smoothed = spectral.smoother_apply(metric, parts.r_pre)
+    term_b = parts.r_post - fit.forecaster.apply(smoothed, latent.t_post)
+    return term_a, term_b, view.y_post - fit.counterfactual
+
+
+def reference_channel_report(latent, metric, zeta, parts, pi):
+    """The channel bounds of one grid point, one program at a time."""
+    t0 = latent.t0
+    view = latent.to_view()
+    l0 = latent.signal[:t0, 1:]
+    r0 = latent.remainder[:t0, 1:]
+    w_e_signal = spectral.metric_apply(metric, parts.e_signal)
+    g1 = l0.T @ (w_e_signal - metric.basis.project_perp(parts.e_signal))
+    g2 = r0.T @ w_e_signal
+    design = spectral.sqrt_factor(metric) @ view.x_pre
+    q_mat = design.T @ design / t0 + zeta * zeta * np.eye(latent.n_donors)
+    evals, evecs = np.linalg.eigh((q_mat + q_mat.T) / 2.0)
+    keep = evals > 1e-12 * max(evals[-1], 0.0)
+    inv = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
+
+    def dual_norm(g):
+        coef = evecs.T @ g
+        return float(np.sqrt(np.sum(inv * coef * coef)))
+
+    a1 = dual_norm(g1) / t0
+    a2 = dual_norm(g2) / t0
+    a3 = float(np.sqrt(spectral.metric_quadform(metric, parts.e_remainder) / t0))
+    c_mat = view.x_post - pi @ view.x_pre
+    transfer = float(np.linalg.norm((c_mat @ evecs) * np.sqrt(inv), 2))
+    return {
+        "a1": a1,
+        "a2": a2,
+        "a3": a3,
+        "q_max_inv_eig": float(np.max(inv)),
+        "transfer": transfer,
+        "envelope": transfer * (a1 + a2 + a3),
+        "pseudo_inverse": bool(np.any(~keep)),
+        "condition": float(evals[-1] * np.max(inv)),
+    }
+
+
+def reference_decompose(latent, q, rule_kind, zeta):
+    """The grid sweep one point at a time: a cold ``hsc.fit``, one map and
+    one channel report per rho."""
+    view = latent.to_view()
+    parts = decomp._oracle_parts(latent, q, zeta)
+    basis = spectral.spectral_basis(latent.t0, q)
+    rows = []
+    for rho in decomp.DEFAULT_RHO_GRID:
+        cfg = hsc.HscConfig(rho=rho, q=q, rule_kind=rule_kind, zeta=zeta)
+        fit = hsc.fit(view, cfg)
+        metric = spectral.rho_metric(basis, rho)
+        pi, _ = reference_materialize_map(fit.forecaster, metric, latent.t_post)
+        term_a, term_b, realized = reference_ab_terms(latent, fit, parts, metric, pi)
+        row = reference_channel_report(latent, metric, zeta, parts, pi)
+        row.update(
+            weights=fit.weights,
+            term_a=term_a,
+            term_b=term_b,
+            realized_error=realized,
+            rmse=float(np.sqrt(np.mean(realized**2))),
+        )
+        rows.append(row)
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("rule", forecast.RULE_KINDS)
+def test_stacked_decompose_matches_per_point_reference(q, rule):
+    latent, _ = make_latent(seed=70 + q, t0=40, t_post=5)
+    zeta = hsc.auto_zeta(latent.to_view().x_pre, latent.t_post)
+    with warnings.catch_warnings(record=True) as stacked_warnings:
+        warnings.simplefilter("always")
+        report = decomp.decompose(latent, q=q, rule_kind=rule)
+    with warnings.catch_warnings(record=True) as reference_warnings:
+        warnings.simplefilter("always")
+        expected = reference_decompose(latent, q, rule, zeta)
+    assert report.zeta == zeta
+    npt.assert_allclose(report.weights, expected.pop("weights"), rtol=0.0, atol=1e-9)
+    npt.assert_array_equal(report.pseudo_inverse, expected.pop("pseudo_inverse"))
+    for name, value in expected.items():
+        npt.assert_allclose(
+            getattr(report, name), value, rtol=0.0,
+            atol=1e-10 * np.max(np.abs(value)), err_msg=name,
+        )
+    assert sorted(str(w.message) for w in stacked_warnings) == sorted(
+        str(w.message) for w in reference_warnings
+    )
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("rule", forecast.RULE_KINDS)
+def test_single_fit_entries_match_per_point_reference(q, rule):
+    # ab_decompose and channels run the stacked code on a grid of one.
+    latent, _ = make_latent(seed=80 + q, t0=40, t_post=5)
+    parts = decomp._oracle_parts(latent, q, 0.3)
+    basis = spectral.spectral_basis(latent.t0, q)
+    for rho in (0.0, 0.6, 1.0):
+        fit = hsc.fit(latent.to_view(), hsc.HscConfig(rho, q, rule, zeta=0.3))
+        metric = spectral.rho_metric(basis, rho)
+        pi, _ = reference_materialize_map(fit.forecaster, metric, latent.t_post)
+        expected = reference_ab_terms(latent, fit, parts, metric, pi)
+        ab = decomp.ab_decompose(latent, fit)
+        actual = (ab.term_a, ab.term_b, ab.realized_error)
+        for value, reference in zip(actual, expected):
+            tol = 1e-10 * np.max(np.abs(reference))
+            npt.assert_allclose(value, reference, rtol=0.0, atol=tol)
+        report = decomp.channels(latent, rho, q, 0.3, fit.forecaster)
+        bounds = reference_channel_report(latent, metric, 0.3, parts, pi)
+        for name, reference in bounds.items():
+            assert getattr(report, name) == pytest.approx(reference, rel=1e-10), name

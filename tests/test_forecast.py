@@ -386,6 +386,42 @@ def test_stacked_compose_matches_single_paths(rule_kind, q):
         assert messages  # the explosive column warns
 
 
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("rule_kind", forecast.RULE_KINDS)
+def test_stacked_forecaster_applies_every_rule_to_every_path(rule_kind, q):
+    # A forecaster fitted on m columns holds the m single-column rules and
+    # forecasts k paths with each of them: shape (m, h, k).
+    rng = np.random.default_rng(17)
+    n, k = 30, 3
+    basis = spectral_basis(n, q)
+    t = np.arange(n, dtype=float)
+    columns = [rng.normal(size=n).cumsum() for _ in range(3)]
+    columns.append(3.0 - 0.5 * (q - 1) * t + 1e-14 * rng.normal(size=n))
+    columns.append(1.15**t)
+    paths = rng.normal(size=(n, k)).cumsum(axis=0)
+    with warnings.catch_warnings(record=True) as stacked_warnings:
+        warnings.simplefilter("always")
+        stacked = forecast.fit_composed(
+            rule_kind, q, basis, np.column_stack(columns), 4
+        )
+    with warnings.catch_warnings(record=True) as single_warnings:
+        warnings.simplefilter("always")
+        singles = [forecast.fit_composed(rule_kind, q, basis, c, 4) for c in columns]
+    out = stacked.apply(paths, 4)
+    assert out.shape == (len(columns), 4, k)
+    assert stacked.apply(paths[:, 0], 4).shape == (len(columns), 4)
+    for j, single in enumerate(singles):
+        assert len(stacked.rule.fitted_params[j]) == len(single.rule.fitted_params)
+        assert stacked.rule.matrix[j].shape == single.rule.matrix.shape
+        expected = single.apply(paths, 4)
+        tol = 1e-12 * (np.abs(expected).max() + np.abs(columns[j]).max())
+        np.testing.assert_allclose(out[j], expected, rtol=0.0, atol=tol)
+    messages = sorted(str(w.message) for w in stacked_warnings)
+    assert messages == sorted(str(w.message) for w in single_warnings)
+    if rule_kind in ("arima110", "ar"):
+        assert messages  # the explosive column warns
+
+
 def test_stacked_compose_keeps_the_single_path_checks():
     basis = spectral_basis(10, 1)
     with pytest.raises(forecast.ForecastError, match="does not match"):
