@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, baselines, decomp, forecast, hsc, mc, qp, spectral, tuning
+from . import __version__, baselines, decomp, hsc, mc, qp, spectral, tuning
 from .panel import PanelDataError, load_csv, split
 
 EXIT_OK = 0
@@ -30,7 +30,8 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 _VALIDATION_ERRORS = (ValueError, PanelDataError, OSError, json.JSONDecodeError)
-_NUMERICAL_ERRORS = (qp.SolverStall, forecast.ForecastError, spectral.EigenSolverError)
+#: ``forecast.ForecastError`` (too short a series, say) is a ValueError: exit 1.
+_NUMERICAL_ERRORS = (qp.SolverStall, spectral.EigenSolverError, np.linalg.LinAlgError)
 
 
 # ---------------------------------------------------------------------------

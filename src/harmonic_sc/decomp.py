@@ -392,7 +392,7 @@ def channels(
     shrink, match = spectral.path_gains(basis, (rho,))
     if forecaster is None:
         forecaster = forecast.fit_composed(
-            "last_constant", q, basis, np.zeros(basis.n), latent.t_post
+            "last_constant", basis, np.zeros(basis.n), latent.t_post
         )
     parts = _oracle_parts(latent, q, zeta)
     pi = _forecast_maps(forecaster, basis, shrink, latent.t_post)
@@ -467,7 +467,7 @@ def decompose(
     _, weights, smooth = hsc.fit_path(
         view.y_pre, view.x_pre, basis, grid, zeta_val * zeta_val * latent.t0
     )
-    forecaster = forecast.fit_composed(rule_kind, q, basis, smooth, latent.t_post)
+    forecaster = forecast.fit_composed(rule_kind, basis, smooth, latent.t_post)
     pi = _forecast_maps(forecaster, basis, shrink, latent.t_post)
     split = _split(latent, parts, basis, shrink, weights, smooth, forecaster, pi)
     return DecompReport(

@@ -1,16 +1,16 @@
 """Admissible forecast continuation of pre-treatment residual paths.
 
-Admissibility means polynomials of degree < q are continued exactly: the
-composed operator routes the penalty's null-space component through the
-closed-form continuation (constants stay constant, lines stay lines) and
-hands only the orthogonal remainder to a data-driven rule,
+Admissibility means polynomials of degree < q, the order of the spectral
+basis, are continued exactly: the composed operator routes the penalty's
+null-space component through the closed-form continuation (constants stay
+constant, lines stay lines) and hands only the remainder to a rule,
 
     forecast(r) = continue(P0 r) + rule(Pperp r).
 
 Whatever the rule does to the remainder, the polynomial part is reproduced
 without error, so any of the rules below — holding the last value, an
-ARIMA(1,1,0) on differences, a stationary AR(p), or Hamilton-style direct
-h-step regressions — becomes admissible once composed.
+ARIMA(1,1,0) on differences, an AR(4), or Hamilton-style direct h-step
+regressions on four lags — becomes admissible once composed.
 
 Every rule is fitted column-wise: :func:`fit_composed` takes one path of
 shape (n,) or a stack of paths of shape (n, m), such as the smooth residual
@@ -40,6 +40,9 @@ import numpy as np
 from harmonic_sc.spectral import SpectralBasis, _check_order
 
 RULE_KINDS = ("last_constant", "arima110", "ar", "hamilton")
+#: The ``ar`` lag order and the ``hamilton`` predictor count: the p = 4 of
+#: Hamilton's (2018, *REStat* 100(5)) regression rule.
+AR_ORDER = HAMILTON_LAGS = 4
 
 
 class ForecastError(ValueError):
@@ -54,19 +57,10 @@ class ForecastRule:
     ``matrix`` has shape ``(horizon, p)`` for the fitted horizon and the
     ``p`` tail values the rule reads.  A rule fitted on a stack of m paths
     holds m such operators, ``matrix`` (m, horizon, p) and ``offset``
-    (m, horizon), and ``fitted_params`` then holds one tuple per path.
-    ``fitted_params`` layout by kind:
-
-    - ``last_constant``: empty tuple.
-    - ``arima110``: ``(phi,)`` from the no-intercept difference regression.
-    - ``ar``: ``(intercept, a_1, …, a_p)``.
-    - ``hamilton``: one coefficient tuple ``(b_0, b_1, …, b_lags)`` per
-      horizon, fitted by a separate direct regression each.
+    (m, horizon).
     """
 
     kind: str
-    q: int
-    fitted_params: tuple
     matrix: np.ndarray
     offset: np.ndarray
 
@@ -118,8 +112,7 @@ def _fit_arima110(z: np.ndarray, horizon: int) -> tuple:
     # z[-1] + g_h (z[-1] - z[-2]) with g_h = phi + ... + phi^h, as weights
     # on z[-2:].
     g = (phi[:, None] ** np.arange(1, horizon + 1)).cumsum(axis=1)
-    matrix = np.stack([-g, 1.0 + g], axis=2)
-    return [(value,) for value in phi.tolist()], matrix, np.zeros(g.shape)
+    return np.stack([-g, 1.0 + g], axis=2), np.zeros(g.shape)
 
 
 def _solve_regressions(design: np.ndarray, target: np.ndarray, kind: str) -> np.ndarray:
@@ -135,11 +128,12 @@ def _solve_regressions(design: np.ndarray, target: np.ndarray, kind: str) -> np.
     projected = np.matmul(target[:, None, :], u)[:, 0] * inverse
     coef = np.matmul(projected[:, None, :], vt)[:, 0]
     if not np.isfinite(coef).all():
-        raise ForecastError(f"{kind} regression is singular")
+        raise np.linalg.LinAlgError(f"{kind} regression is singular")
     return coef
 
 
-def _fit_ar(z: np.ndarray, order: int, horizon: int) -> tuple:
+def _fit_ar(z: np.ndarray, horizon: int) -> tuple:
+    order = AR_ORDER
     n, m = z.shape
     design = np.ones((m, n - order, order + 1))
     for lag in range(1, order + 1):
@@ -167,10 +161,11 @@ def _fit_ar(z: np.ndarray, order: int, horizon: int) -> tuple:
     for t in range(order, order + horizon):
         np.matmul(lag_coefs, rows[:, t - order : t], out=rows[:, t : t + 1])
         rows[:, t, order] += coef[:, 0]
-    return [tuple(c) for c in coef], rows[:, order:, :order], rows[:, order:, order]
+    return rows[:, order:, :order], rows[:, order:, order]
 
 
-def _fit_hamilton(z: np.ndarray, horizon: int, lags: int) -> tuple:
+def _fit_hamilton(z: np.ndarray, horizon: int) -> tuple:
+    lags = HAMILTON_LAGS
     n, m = z.shape
     table = np.empty((m, horizon, lags + 1))
     for h in range(1, horizon + 1):
@@ -178,30 +173,21 @@ def _fit_hamilton(z: np.ndarray, horizon: int, lags: int) -> tuple:
         for lag in range(lags):
             design[:, :, lag + 1] = z[lags - 1 - lag : n - h - lag].T
         table[:, h - 1] = _solve_regressions(design, z[lags - 1 + h :].T, "hamilton")
-    params = [tuple(tuple(row) for row in column) for column in table]
-    return params, table[:, :, :0:-1], table[:, :, 0]
+    return table[:, :, :0:-1], table[:, :, 0]
 
 
-def fit_rule(
-    rule_kind: str,
-    q: int,
-    z: np.ndarray,
-    horizon: int,
-    order: int = 4,
-    lags: int = 4,
-) -> ForecastRule:
+def fit_rule(rule_kind: str, z: np.ndarray, horizon: int) -> ForecastRule:
     """Estimate a forecast rule on ``z`` and freeze it for ``horizon`` steps.
 
     ``hamilton`` fits one direct regression per step ahead; the other kinds
-    fit one regression and iterate it.  ``order`` is the ar lag order;
-    ``lags`` the hamilton predictor count.  ``z`` is one series (n,) or a
-    stack (n, m), which gets one rule per column in one pass.
+    fit one regression and iterate it.  ``z`` is one series (n,) or a stack
+    (n, m), which gets one rule per column in one pass.  A regression with
+    no finite solution raises ``numpy.linalg.LinAlgError``.
     """
     if rule_kind not in RULE_KINDS:
         raise ForecastError(
             f"unknown forecast rule {rule_kind!r}; choose from {', '.join(RULE_KINDS)}"
         )
-    _check_order(q)
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2):
         raise ForecastError("remainder series must be a vector or an (n, m) stack")
@@ -213,33 +199,26 @@ def fit_rule(
     if rule_kind == "last_constant":
         if n < 1:
             raise ForecastError("last_constant needs at least 1 observation")
-        fitted = [()] * m, np.ones((m, horizon, 1)), np.zeros((m, horizon))
+        fitted = np.ones((m, horizon, 1)), np.zeros((m, horizon))
     elif rule_kind == "arima110":
         if n < 3:
             raise ForecastError(f"arima110 needs at least 3 observations, got {n}")
         fitted = _fit_arima110(stack, horizon)
     elif rule_kind == "ar":
-        if order < 1:
-            raise ForecastError(f"ar order must be positive, got {order}")
-        if n < order + 2:
+        if n < AR_ORDER + 2:
             raise ForecastError(
-                f"ar({order}) needs at least {order + 2} observations, got {n}"
+                f"ar({AR_ORDER}) needs at least {AR_ORDER + 2} observations, got {n}"
             )
-        fitted = _fit_ar(stack, order, horizon)
+        fitted = _fit_ar(stack, horizon)
     else:
-        if lags < 1:
-            raise ForecastError(f"hamilton lag count must be positive, got {lags}")
-        if n < horizon + lags + 1:
+        if n < horizon + HAMILTON_LAGS + 1:
             raise ForecastError(
                 f"hamilton with horizon {horizon} needs at least "
-                f"{horizon + lags + 1} observations, got {n}"
+                f"{horizon + HAMILTON_LAGS + 1} observations, got {n}"
             )
-        fitted = _fit_hamilton(stack, horizon, lags)
-    params, matrix, offset = fitted if z.ndim == 2 else [part[0] for part in fitted]
-    return ForecastRule(
-        kind=rule_kind, q=int(q), fitted_params=tuple(params), matrix=matrix,
-        offset=offset,
-    )
+        fitted = _fit_hamilton(stack, horizon)
+    matrix, offset = fitted if z.ndim == 2 else [part[0] for part in fitted]
+    return ForecastRule(kind=rule_kind, matrix=matrix, offset=offset)
 
 
 def apply_rule(rule: ForecastRule, z: np.ndarray, horizon: int) -> np.ndarray:
@@ -290,23 +269,18 @@ class ComposedForecaster:
             )
         null_part = self.basis.project_null(r)
         rest = r - null_part
-        return null_continuation(null_part, self.rule.q, horizon) + apply_rule(
+        return null_continuation(null_part, self.basis.q, horizon) + apply_rule(
             self.rule, rest, horizon
         )
 
 
 def fit_composed(
-    rule_kind: str,
-    q: int,
-    basis: SpectralBasis,
-    r_pre: np.ndarray,
-    horizon: int,
-    order: int = 4,
-    lags: int = 4,
+    rule_kind: str, basis: SpectralBasis, r_pre: np.ndarray, horizon: int
 ) -> ComposedForecaster:
     """Fit the data-driven rule on ``Pperp r_pre`` and freeze the composition.
 
-    ``r_pre`` is one path (n,) or a stack (n, m) with one rule per column.
+    ``r_pre`` is one path (n,) or a stack (n, m) with one rule per column;
+    the null-space route continues polynomials of degree < ``basis.q``.
     Projecting a path that already lies in the null space leaves only
     floating-point dust, and an autoregression fitted to dust has arbitrary
     coefficients (and spurious nonstationarity warnings), so a column whose
@@ -319,20 +293,12 @@ def fit_composed(
         )
     rest = basis.project_perp(r)
     dust = np.abs(rest).max(axis=0) <= 1e-12 * np.abs(r).max(axis=0)
-    rule = fit_rule(
-        rule_kind, q, np.where(dust, 0.0, rest), horizon, order=order, lags=lags
-    )
+    rule = fit_rule(rule_kind, np.where(dust, 0.0, rest), horizon)
     return ComposedForecaster(rule=rule, basis=basis)
 
 
 def compose(
-    rule_kind: str,
-    q: int,
-    basis: SpectralBasis,
-    r_pre: np.ndarray,
-    horizon: int,
-    order: int = 4,
-    lags: int = 4,
+    rule_kind: str, basis: SpectralBasis, r_pre: np.ndarray, horizon: int
 ) -> np.ndarray:
     """Admissible forecast of ``r_pre``: exact null continuation + fitted rule.
 
@@ -342,7 +308,5 @@ def compose(
     :func:`fit_composed` forecaster applied to ``r_pre``, each column
     forecast by its own rule.
     """
-    out = fit_composed(
-        rule_kind, q, basis, r_pre, horizon, order=order, lags=lags
-    ).apply(r_pre, horizon)
+    out = fit_composed(rule_kind, basis, r_pre, horizon).apply(r_pre, horizon)
     return out if out.ndim == 1 else np.diagonal(out, axis1=0, axis2=2)

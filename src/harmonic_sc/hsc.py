@@ -46,8 +46,6 @@ class HscConfig:
     q: int = 1
     rule_kind: str = "last_constant"
     zeta: float | str = "auto"
-    ar_order: int = 4
-    hamilton_lags: int = 4
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rho <= 1.0:
@@ -160,7 +158,7 @@ def fit(view: PrePostView, cfg: HscConfig) -> HscFit:
     ValueError
         If a block of the view is not finite or exceeds
         ``panel.MAX_LEVEL``, or the pre-period is shorter than q+2.
-    harmonic_sc.qp.SolverStall, harmonic_sc.forecast.ForecastError
+    harmonic_sc.qp.SolverStall, forecast.ForecastError, numpy.linalg.LinAlgError
         Propagated from the weight solver and the forecast rule.
     """
     check_levels(
@@ -184,15 +182,7 @@ def fit(view: PrePostView, cfg: HscConfig) -> HscFit:
     r_pre = y - x @ w_hat
     u_pre = r_pre - e_pre
 
-    forecaster = forecast.fit_composed(
-        cfg.rule_kind,
-        cfg.q,
-        basis,
-        e_pre,
-        t_post,
-        order=cfg.ar_order,
-        lags=cfg.hamilton_lags,
-    )
+    forecaster = forecast.fit_composed(cfg.rule_kind, basis, e_pre, t_post)
     forecast_component = forecaster.apply(e_pre, t_post)
     donor_component = np.asarray(view.x_post, dtype=float) @ w_hat
 

@@ -289,10 +289,10 @@ def parse_method(token: str) -> tuple[str, int, str]:
 
 
 _NUMERICAL_FAILURES = (
-    ValueError,
+    ValueError,  # forecast.ForecastError among them
     qp.SolverStall,
-    forecast.ForecastError,
     spectral.EigenSolverError,
+    np.linalg.LinAlgError,
 )
 
 

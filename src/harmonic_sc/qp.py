@@ -105,13 +105,6 @@ class SimplexQP:
         half_grad = self.gram @ w + self.ridge * w + self.linear
         return float(w @ (half_grad + self.linear)) + self.offset, 2.0 * half_grad
 
-    def eval(self, w: np.ndarray) -> float:
-        """Objective value at ``w`` (no feasibility check)."""
-        return self.evaluate(w)[0]
-
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        return self.evaluate(w)[1]
-
 
 @dataclass(frozen=True)
 class QPSolution:
@@ -146,17 +139,6 @@ def build(y: np.ndarray, x: np.ndarray, ridge: float) -> SimplexQP:
         offset=float(y @ y),
         ridge=float(ridge),
     )
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u) - 1.0
-    counts = np.arange(1, v.size + 1)
-    support = np.nonzero(u * counts > cumulative)[0][-1]
-    tau = cumulative[support] / (support + 1.0)
-    return np.maximum(v - tau, 0.0)
 
 
 def _kkt_residual(qp: SimplexQP, w: np.ndarray, grad: np.ndarray) -> float:
@@ -322,16 +304,17 @@ def solve(
         Stationarity target; the run stops when the relative KKT residual
         drops below ``tol * (1 + ||gradient|| / scale)``.
     init : ndarray, optional
-        Starting point, projected onto the simplex unless it already lies
-        on it (to within 1e-12 in the sum); defaults to the uniform
-        vector.  The solution of a nearby program makes the opening polish
-        land on the optimal face directly.
+        Starting point on the simplex (nonnegative, summing to 1 within
+        1e-12); defaults to the uniform vector.  The solution of a nearby
+        program makes the opening polish land on the optimal face directly.
     trace : list, optional
         If given, the starting objective is appended, then the objective of
         every point the run moves to, the certified point's last.
 
     Raises
     ------
+    ValueError
+        When ``init`` has the wrong length or lies off the simplex.
     SolverStall
         When no ratio step lowers the objective, or ``4 n`` rounds pass
         without a certified point; the current point, the best the run
@@ -342,11 +325,9 @@ def solve(
         x = np.full(n, 1.0 / n)
     else:
         x = np.array(init, dtype=float)
-        # A point already on the simplex is kept as given: projecting it
-        # anew can lift its zero coordinates to rounding dust, and the
-        # opening polish would then start from the full support.
-        if not ((x >= 0.0).all() and abs(x.sum() - 1.0) <= 1e-12):
-            x = project_simplex(x)
+        on_simplex = (x >= 0.0).all() and abs(x.sum() - 1.0) <= 1e-12
+        if x.shape != (n,) or not on_simplex:
+            raise ValueError(f"init must be a point of the {n}-weight simplex")
         # Dust-level weights are inactive, as in every point the run moves
         # to: a ratio step blocked by one would barely move.
         dust = (x > 0.0) & (x < 1e-12)

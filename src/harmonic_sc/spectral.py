@@ -60,8 +60,8 @@ def penalty_matrix(n: int, q: int) -> np.ndarray:
 class SpectralBasis:
     """Eigenstructure of a penalty matrix ``K_q`` of size n.
 
-    ``eigenvalues`` ascend; the first ``null_dim`` (= q) are exactly zero
-    after separation is verified, and the eigenvector columns are
+    ``eigenvalues`` ascend; the first ``q`` (the null-space dimension) are
+    exactly zero after separation is verified, and the eigenvector columns are
     orthonormal.
     """
 
@@ -69,11 +69,10 @@ class SpectralBasis:
     q: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    null_dim: int
 
     def project_null(self, r: np.ndarray) -> np.ndarray:
         """Project onto the penalty null space (P0 r)."""
-        vn = self.eigenvectors[:, : self.null_dim]
+        vn = self.eigenvectors[:, : self.q]
         return vn @ (vn.T @ r)
 
     def project_perp(self, r: np.ndarray) -> np.ndarray:
@@ -137,7 +136,7 @@ def eigendecompose(k: np.ndarray, q: int) -> SpectralBasis:
             f"eigenvector orthonormality drift {ortho_err:.3e} exceeds 1e-10"
         )
     eigvals[:q] = 0.0
-    return SpectralBasis(n=n, q=q, eigenvalues=eigvals, eigenvectors=vecs, null_dim=q)
+    return SpectralBasis(n=n, q=q, eigenvalues=eigvals, eigenvectors=vecs)
 
 
 @lru_cache(maxsize=None)
@@ -212,7 +211,7 @@ def path_gains(basis: SpectralBasis, rho_grid) -> tuple[np.ndarray, np.ndarray]:
     inside = (rho >= 0.0) & (rho <= 1.0)  # NaN is outside
     if not inside.all():
         raise ValueError(f"rho must lie in [0, 1], got {rho[~inside][0]}")
-    q = basis.null_dim
+    q = basis.q
     shrink = np.ones((rho.size, basis.n))
     match = np.zeros((rho.size, basis.n))
     shrink[:, q:], match[:, q:] = _interior_gains(basis.eigenvalues[q:], rho)

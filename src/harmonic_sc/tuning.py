@@ -86,8 +86,6 @@ class CvPlan:
     rho_grid: np.ndarray = field(default_factory=uniform_grid)
     candidates: tuple = ((1, "last_constant"),)
     zeta: float | str = "auto"
-    ar_order: int = 4
-    hamilton_lags: int = 4
 
     def __post_init__(self) -> None:
         if self.h < 1:
@@ -208,10 +206,7 @@ def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResu
             donor_part = x_val @ weights.T  # (h, G): one column per rho
             for ci in live:
                 try:
-                    fc = forecast.compose(
-                        plan.candidates[ci][1], q, basis, smooth, plan.h,
-                        order=plan.ar_order, lags=plan.hamilton_lags,
-                    )
+                    fc = forecast.compose(plan.candidates[ci][1], basis, smooth, plan.h)
                 except _FORECAST_FAILURES as exc:
                     failed[ci] = (k, str(exc))
                     continue

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from harmonic_sc import baselines, cli, hsc, load_csv, mc, split
+from harmonic_sc import baselines, cli, hsc, load_csv, mc, qp, split
 
 
 def write_panel_csv(path, t_total=14, noise=0.05, seed=0, scale=1.0):
@@ -142,6 +142,51 @@ def test_estimate_overflowing_levels_name_the_cell(tmp_path, capsys):
     # The cell is named by the file's labels: the treated unit A at time 1.
     assert "outcome 2.6076e+200 at (time='1', unit='A')" in err
     assert "gram" not in err
+
+
+@pytest.mark.parametrize("t0", [3, 4, 5])
+def test_estimate_too_short_for_the_forecaster_exits_1(tmp_path, capsys, t0):
+    # A pre-period too short for its rule is an input problem, not a
+    # numerical failure.
+    panel_csv = write_panel_csv(tmp_path / "panel.csv", t_total=30)
+    code = cli.main(
+        ["estimate", "--panel", str(panel_csv), "--treated", "A", "--t0", str(t0),
+         "--rho", "0.5", "--forecaster", "ar", "--out", str(tmp_path / "x")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"ar(4) needs at least 6 observations, got {t0}" in err
+    assert "numerical failure" not in err
+
+
+def stalled_solve(problem, **kwargs):
+    raise qp.SolverStall("no certified point", solution=None)
+
+
+REAL_SVD = np.linalg.svd
+
+
+def singular_svd(a, full_matrices=True):
+    u, s, vt = REAL_SVD(a, full_matrices=full_matrices)
+    return np.full_like(u, np.nan), s, vt
+
+
+@pytest.mark.parametrize(
+    "target, name, fake, message",
+    [(qp, "solve", stalled_solve, "no certified point"),
+     (np.linalg, "svd", singular_svd, "ar regression is singular")],
+)
+def test_estimate_numerical_failure_exits_2(
+    tmp_path, capsys, monkeypatch, target, name, fake, message
+):
+    panel_csv = write_panel_csv(tmp_path / "panel.csv")
+    monkeypatch.setattr(target, name, fake)
+    code = cli.main(
+        ["estimate", "--panel", str(panel_csv), "--treated", "A", "--t0", "10",
+         "--rho", "0.5", "--forecaster", "ar", "--out", str(tmp_path / "x")]
+    )
+    assert code == 2
+    assert f"error: numerical failure: {message}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

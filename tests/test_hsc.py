@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonic_sc import hsc, qp, spectral
-from harmonic_sc.forecast import RULE_KINDS, ForecastError
+from harmonic_sc.forecast import AR_ORDER, RULE_KINDS, ForecastError
 from harmonic_sc.panel import PrePostView
 
 
@@ -195,9 +195,9 @@ def test_auto_zeta_used_when_requested():
 
 def test_forecaster_rule_respected():
     view = random_view(11, t0=50)
-    fitted = hsc.fit(view, hsc.HscConfig(rho=0.5, q=1, rule_kind="ar", ar_order=2))
+    fitted = hsc.fit(view, hsc.HscConfig(rho=0.5, q=1, rule_kind="ar"))
     assert fitted.forecaster.rule.kind == "ar"
-    assert fitted.forecaster.rule.matrix.shape[1] == 2
+    assert fitted.forecaster.rule.matrix.shape[1] == AR_ORDER
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

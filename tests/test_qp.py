@@ -35,7 +35,7 @@ def brute_force_three_donors(problem, step=0.005):
     for w1 in np.arange(0.0, 1.0 + step / 2, step):
         for w2 in np.arange(0.0, 1.0 - w1 + step / 2, step):
             w = np.array([w1, w2, 1.0 - w1 - w2])
-            val = problem.eval(w)
+            val = problem.evaluate(w)[0]
             if val < best_val:
                 best_w, best_val = w, val
     return best_w
@@ -78,7 +78,7 @@ def test_build_matches_direct_evaluation():
     for _ in range(5):
         w = rng.dirichlet(np.ones(5))
         direct = np.sum((c @ (y - x @ w)) ** 2) + 0.7 * np.sum(w * w)
-        assert problem.eval(w) == pytest.approx(direct, rel=1e-8)
+        assert problem.evaluate(w)[0] == pytest.approx(direct, rel=1e-8)
 
 
 def test_build_identity_metric_is_least_squares():
@@ -87,7 +87,7 @@ def test_build_identity_metric_is_least_squares():
     x = rng.normal(size=(8, 3))
     problem = qp.build(y, x, ridge=0.0)
     w = np.array([0.2, 0.5, 0.3])
-    assert problem.eval(w) == pytest.approx(np.sum((y - x @ w) ** 2), rel=1e-10)
+    assert problem.evaluate(w)[0] == pytest.approx(np.sum((y - x @ w) ** 2), rel=1e-10)
 
 
 def test_build_vertex_objective():
@@ -100,7 +100,7 @@ def test_build_vertex_objective():
         e = np.zeros(4)
         e[j] = 1.0
         expected = np.sum((c @ (y - x[:, j])) ** 2) + 0.3
-        assert problem.eval(e) == pytest.approx(expected, rel=1e-10)
+        assert problem.evaluate(e)[0] == pytest.approx(expected, rel=1e-10)
 
 
 def test_build_dimension_mismatch():
@@ -145,28 +145,6 @@ def test_simplexqp_rejects_non_finite_ridge():
     for ridge in (np.nan, np.inf):
         with pytest.raises(ValueError, match="ridge must be finite"):
             qp.SimplexQP(gram=np.eye(3), linear=np.zeros(3), offset=0.0, ridge=ridge)
-
-
-# ------------------------------------------------------------- projection
-
-@given(st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=12))
-def test_projection_lands_on_simplex(vals):
-    p = qp.project_simplex(np.array(vals))
-    assert np.all(p >= 0.0)
-    assert p.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-@given(st.integers(0, 10 ** 6))
-@settings(max_examples=30)
-def test_projection_fixes_simplex_points(seed):
-    w = np.random.default_rng(seed).dirichlet(np.ones(6))
-    np.testing.assert_allclose(qp.project_simplex(w), w, atol=1e-12)
-
-
-def test_projection_of_vertex_neighbourhood():
-    np.testing.assert_allclose(
-        qp.project_simplex(np.array([5.0, 0.0, 0.0])), [1.0, 0.0, 0.0], atol=1e-12
-    )
 
 
 # ------------------------------------------------------------------ solve
@@ -385,7 +363,7 @@ def test_backoff_stalls_finish_in_a_few_ratio_steps(kappa, master_seed, rep):
     cfg = mc.GridDgpConfig(kappa=kappa, rho_u=0.0, master_seed=master_seed)
     view = mc.simulate_grid(cfg, rep)[1].to_view()
     sol = baselines.fit("sc", view).solution
-    grad = qp.build(view.y_pre, view.x_pre, 0.0).gradient(sol.weights)
+    grad = qp.build(view.y_pre, view.x_pre, 0.0).evaluate(sol.weights)[1]
     assert sol.kkt_residual <= 1e-10 * (1.0 + np.linalg.norm(grad))
     assert 1 <= sol.iterations <= 3
 
@@ -425,6 +403,21 @@ def test_near_duplicate_donors_certify_at_zero_ridge():
         assert sol.kkt_residual <= 1e-9
 
 
+def test_solve_rejects_a_start_off_the_simplex():
+    # A start is a previous solution; one off the simplex is a caller's bug.
+    problem = random_instance(9, n_donors=4)
+    past_tolerance = np.full(4, 0.25)
+    past_tolerance[0] += 1e-11
+    for start in (
+        np.full(3, 1.0 / 3.0),
+        np.array([0.5, 0.6, -0.1, 0.0]),
+        past_tolerance,
+        np.array([np.nan, 0.5, 0.5, 0.0]),
+    ):
+        with pytest.raises(ValueError, match="init must be a point of the 4-weight"):
+            qp.solve(problem, init=start)
+
+
 def test_dust_weights_of_a_start_are_inactive():
     # A start with weights far below 1e-12: a ratio step blocked by one
     # would move by less than the objective's rounding, so the start's dust
@@ -462,7 +455,7 @@ def test_solution_is_clean_simplex_point():
 def test_solution_satisfies_reported_kkt():
     problem = random_instance(61, n_donors=5, ridge=0.2)
     sol = qp.solve(problem, tol=1e-10)
-    grad = problem.gradient(sol.weights)
+    grad = problem.evaluate(sol.weights)[1]
     active = sol.weights > 0
     nu = grad[active].mean()
     resid = np.max(np.abs(grad[active] - nu))
@@ -480,7 +473,7 @@ def test_stall_raises_with_best_iterate():
     best = excinfo.value.solution
     assert best.weights.min() >= 0.0
     assert best.weights.sum() == pytest.approx(1.0, abs=1e-10)
-    assert best.objective == pytest.approx(problem.eval(best.weights), rel=1e-12)
+    assert best.objective == pytest.approx(problem.evaluate(best.weights)[0], rel=1e-12)
     assert np.isfinite(best.objective)
     assert np.isfinite(best.kkt_residual)
 
@@ -489,7 +482,7 @@ def test_opening_polish_finishes_the_run():
     problem = random_instance(71, n_obs=40, n_donors=10)
     sol = qp.solve(problem)
     assert sol.iterations == 0
-    grad = problem.gradient(sol.weights)
+    grad = problem.evaluate(sol.weights)[1]
     assert sol.kkt_residual <= 1e-10 * (1.0 + np.linalg.norm(grad))
 
 

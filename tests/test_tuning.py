@@ -315,13 +315,9 @@ def test_donor_permutation_leaves_table_invariant():
 
 def test_failing_candidate_is_excluded_and_reported():
     rng = np.random.default_rng(17)
-    y_pre, x_pre, _, _ = random_panel(rng, t0=20, n_donors=4)
-    # First fold trains on 10 points; the long-lag rule needs 14.
-    plan = tuning.CvPlan(
-        folds=10,
-        candidates=((1, "last_constant"), (1, "hamilton")),
-        hamilton_lags=12,
-    )
+    y_pre, x_pre, _, _ = random_panel(rng, t0=14, n_donors=4)
+    # First fold trains on 4 points; hamilton needs 6.
+    plan = tuning.CvPlan(folds=10, candidates=((1, "last_constant"), (1, "hamilton")))
     result = tuning.cross_validate(y_pre, x_pre, plan)
     assert result.best_candidate == (1, "last_constant")
     assert np.all(np.isnan(result.table[1]))
@@ -334,10 +330,8 @@ def test_failing_candidate_is_excluded_and_reported():
 
 def test_all_candidates_failing_raises():
     rng = np.random.default_rng(19)
-    y_pre, x_pre, _, _ = random_panel(rng, t0=16, n_donors=4)
-    plan = tuning.CvPlan(
-        folds=8, candidates=((1, "hamilton"),), hamilton_lags=12
-    )
+    y_pre, x_pre, _, _ = random_panel(rng, t0=12, n_donors=4)
+    plan = tuning.CvPlan(folds=8, candidates=((1, "hamilton"),))
     with pytest.raises(ValueError, match="every candidate failed"):
         tuning.cross_validate(y_pre, x_pre, plan)
 
@@ -463,10 +457,7 @@ def reference_cross_validate(y_pre, x_pre, plan):
                     problem = qp.build(root * u_y, root[:, None] * u_x, zeta * zeta * k)
                     weights = qp.solve(problem, init=weights).weights
                     e = v @ (metric.shrink_gains * (u_y - u_x @ weights))
-                    fc = forecast.compose(
-                        rule, q, basis, e, plan.h,
-                        order=plan.ar_order, lags=plan.hamilton_lags,
-                    )
+                    fc = forecast.compose(rule, basis, e, plan.h)
                     per_fold[ci, li, :, gi] = (y_val - (x_val @ weights + fc)) ** 2
             except forecast.ForecastError as exc:
                 excluded.append(((q, rule), k, str(exc)))
@@ -486,26 +477,29 @@ def reference_cross_validate(y_pre, x_pre, plan):
 
 @pytest.mark.parametrize("seed", [51, 52, 53])
 def test_stacked_scoring_matches_per_point_reference(seed):
-    # Every rule on both orders; then a plan whose long-lag hamilton fails
-    # on the first fold (24 training points, 25 needed) and is excluded.
+    # Every rule on both orders; then the panel's first 13 periods, on which
+    # hamilton fails on the first fold (7 training points, 8 needed) and is
+    # excluded.
     rng = np.random.default_rng(seed)
     y_pre, x_pre, _, _ = random_panel(rng, t0=30, n_donors=7, noise=0.4)
     grid = np.linspace(0.0, 1.0, 11)
     every_rule = tuning.CvPlan(
-        h=3, folds=4, rho_grid=grid, ar_order=3,
+        h=3, folds=4, rho_grid=grid,
         candidates=tuple((q, rule) for q in (1, 2) for rule in forecast.RULE_KINDS),
     )
-    long_lags = tuning.CvPlan(
-        h=3, folds=4, rho_grid=grid, hamilton_lags=21,
+    some_rules = tuning.CvPlan(
+        h=3, folds=4, rho_grid=grid,
         candidates=((1, "last_constant"), (1, "hamilton"), (2, "ar")),
     )
-    for plan in (every_rule, long_lags):
+    for plan, t0 in ((every_rule, 30), (some_rules, 13)):
         with warnings.catch_warnings(record=True) as stacked_warnings:
             warnings.simplefilter("always")
-            result = tuning.cross_validate(y_pre, x_pre, plan)
+            result = tuning.cross_validate(y_pre[:t0], x_pre[:t0], plan)
         with warnings.catch_warnings(record=True) as reference_warnings:
             warnings.simplefilter("always")
-            errors, excluded, best = reference_cross_validate(y_pre, x_pre, plan)
+            errors, excluded, best = reference_cross_validate(
+                y_pre[:t0], x_pre[:t0], plan
+            )
         assert_allclose(result.per_fold_errors, errors, rtol=1e-9, atol=0.0)
         assert result.excluded == excluded
         assert (result.best_rho, result.best_candidate) == best
