@@ -130,10 +130,8 @@ def oracle_weights(latent: LatentPanel, q: int, zeta: float) -> np.ndarray:
     """
     basis = spectral.spectral_basis(latent.t0, q)
     sig = latent.signal[: latent.t0]
-    _, weights, _ = hsc.fit_path(
-        sig[:, 0], sig[:, 1:], basis, (1.0,), zeta * zeta * latent.t0
-    )
-    return weights[0]
+    ridge = zeta * zeta * latent.t0
+    return hsc.fit_path(sig[:, 0], sig[:, 1:], basis, 1.0, ridge)[0].weights
 
 
 @dataclass(frozen=True)
@@ -444,7 +442,7 @@ def decompose(
     The ridge level is resolved once up front (the data-driven default uses
     the observed donor block) and shared by every grid point and by the
     oracle, so differences along the grid isolate the smoothing level.  The
-    grid is one computation: one :func:`hsc.fit_path` walk, one forecaster
+    grid is one computation: one :func:`hsc.fit_path` stack, one forecaster
     fitted on the stack of smooth parts (one rule per rho), and the split
     and channel bounds with a leading grid axis.
     """
@@ -464,9 +462,10 @@ def decompose(
     zeta_val = hsc.auto_zeta(view.x_pre, view.t_post) if zeta == "auto" else float(zeta)
 
     parts = _oracle_parts(latent, q, zeta_val)
-    _, weights, smooth = hsc.fit_path(
+    solution, smooth = hsc.fit_path(
         view.y_pre, view.x_pre, basis, grid, zeta_val * zeta_val * latent.t0
     )
+    weights = solution.weights
     forecaster = forecast.fit_composed(rule_kind, basis, smooth, latent.t_post)
     pi = _forecast_maps(forecaster, basis, shrink, latent.t_post)
     split = _split(latent, parts, basis, shrink, weights, smooth, forecaster, pi)

@@ -267,11 +267,21 @@ class ComposedForecaster:
             raise ForecastError(
                 f"path length {r.shape} does not match basis size {self.basis.n}"
             )
-        null_part = self.basis.project_null(r)
-        rest = r - null_part
+        null_part, rest = _split(self.basis, r)
         return null_continuation(null_part, self.basis.q, horizon) + apply_rule(
             self.rule, rest, horizon
         )
+
+
+def _split(basis: SpectralBasis, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Null part of each column and its remainder, zero where the remainder
+    is negligible against the column: dust is fitted and forecast as zero,
+    so every rule continues a path in the null space alike, to the bit."""
+    null_part = basis.project_null(r)
+    rest = r - null_part
+    return null_part, np.where(
+        np.abs(rest).max(axis=0) <= 1e-12 * np.abs(r).max(axis=0), 0.0, rest
+    )
 
 
 def fit_composed(
@@ -291,9 +301,7 @@ def fit_composed(
         raise ForecastError(
             f"path length {r.shape} does not match basis size {basis.n}"
         )
-    rest = basis.project_perp(r)
-    dust = np.abs(rest).max(axis=0) <= 1e-12 * np.abs(r).max(axis=0)
-    rule = fit_rule(rule_kind, np.where(dust, 0.0, rest), horizon)
+    rule = fit_rule(rule_kind, _split(basis, r)[1], horizon)
     return ComposedForecaster(rule=rule, basis=basis)
 
 

@@ -16,11 +16,12 @@ forecast rule:
 Everything here works in the penalty eigenbasis, so the smoother and metric
 are diagonal rescalings; no T0 x T0 system is ever solved per candidate rho.
 :func:`fit_path` is the one weight path: it assembles the profiled program
-of every rho of a grid in one batched product, solves them along the grid,
-and returns the weights and smooth parts as arrays (one row, respectively
-column, per rho); :func:`fit` (a grid of one), the oracle weights and the
-grid sweep of ``decomp.decompose`` and the cross-validation of ``tuning``
-all go through it.
+of every rho of a grid in one batched product, solves them as one stack of
+simplex QPs, and returns the weights and smooth parts as arrays (one row,
+respectively column, per rho); :func:`fit` and the oracle weights (one
+rho), the grid sweep of ``decomp.decompose`` and the cross-validation of
+``tuning`` (each fold started from the previous fold's weights) all go
+through it.
 """
 
 from __future__ import annotations
@@ -113,41 +114,40 @@ def fit_path(
     basis: spectral.SpectralBasis,
     rho_grid,
     ridge: float,
-) -> tuple[list[qp.QPSolution], np.ndarray, np.ndarray]:
+    init: np.ndarray | None = None,
+) -> tuple[qp.QPSolution, np.ndarray]:
     """Profiled donor weights and smooth residual parts along ``rho_grid``.
 
     The series enter once, as their eigen-coordinates ``U = V'[X, y]``.
     Scaling the rows of ``U`` by sqrt(match_gains) turns the metric
-    objective into an ordinary least-squares program, so one batched
-    product ``U' diag(w_g) U`` over the grid's gains (one broadcast,
-    :func:`spectral.path_gains`) holds every program's gram, ``-linear``
-    and offset.  The programs are solved in grid order, each starting from
-    the previous rho's weights (neighbouring grid points share, or nearly
-    share, the optimal face).
+    objective into least squares, so one batched product ``A'A`` with
+    ``A = sqrt(w_g) U`` (gains from :func:`spectral.path_gains`; exactly
+    symmetric, as NumPy computes it by syrk) holds every program's gram,
+    ``-linear`` and offset, and :func:`qp.solve` solves them as one stack
+    from ``init`` (one start per rho; the uniform vector by default).
 
-    Returns ``(solutions, weights, smooth)``: the :class:`qp.QPSolution` of
-    each rho, the weights ``W`` (G x n, one row per rho) and the smooth
-    parts ``E`` (T0 x G, one column per rho) of the residuals
-    ``y - X w_g``, ``E[:, g] = V diag(s_g) (V'y - V'X w_g)``.
+    Returns ``(solution, smooth)``: the stacked :class:`qp.QPSolution`,
+    whose weights ``W`` hold one row per rho, and the smooth parts ``E``
+    (T0 x G) of the residuals, ``E[:, g] = V diag(s_g) (V'y - V'X w_g)``.
+    A scalar rho gives one program and unstacked results.
     """
     v = basis.eigenvectors
     n = x.shape[1]
     u = v.T @ np.column_stack([x, y])
     shrink, match = spectral.path_gains(basis, rho_grid)
-    blocks = np.matmul(u.T * match[:, None, :], u)
-    solutions = []
-    weights = np.empty((len(blocks), n))
-    init = None
-    for g, block in enumerate(blocks):
-        problem = qp.SimplexQP(
-            gram=block[:n, :n], linear=-block[:n, n], offset=float(block[n, n]),
-            ridge=float(ridge),
-        )
-        solution = qp.solve(problem, init=init)
-        solutions.append(solution)
-        weights[g] = init = solution.weights
+    a = np.einsum("...t,tk->...tk", np.sqrt(match.reshape(*np.shape(rho_grid), -1)), u)
+    ax, ay = a[..., :n], a[..., n]
+    problem = qp.SimplexQP(
+        gram=np.matmul(ax.swapaxes(-1, -2), ax),
+        linear=-np.matmul(ay[..., None, :], ax)[..., 0, :],
+        offset=np.einsum("...t,...t->...", ay, ay),
+        ridge=float(ridge),
+    )
+    del a, ax, ay  # the (G, T0, n+1) factor is not kept through the solve
+    solution = qp.solve(problem, init=init)
+    weights = solution.weights.reshape(-1, n)
     smooth = v @ (shrink.T * (u[:, n:] - u[:, :n] @ weights.T))
-    return solutions, weights, smooth
+    return solution, smooth.reshape(basis.n, *np.shape(rho_grid))
 
 
 def fit(view: PrePostView, cfg: HscConfig) -> HscFit:
@@ -177,8 +177,8 @@ def fit(view: PrePostView, cfg: HscConfig) -> HscFit:
 
     zeta = auto_zeta(x, t_post) if cfg.zeta == "auto" else float(cfg.zeta)
     basis = spectral.spectral_basis(t0, cfg.q)
-    solutions, weights, smooth = fit_path(y, x, basis, (cfg.rho,), zeta * zeta * t0)
-    solution, w_hat, e_pre = solutions[0], weights[0], smooth[:, 0]
+    solution, e_pre = fit_path(y, x, basis, cfg.rho, zeta * zeta * t0)
+    w_hat = solution.weights
     r_pre = y - x @ w_hat
     u_pre = r_pre - e_pre
 

@@ -1,4 +1,4 @@
-"""Simplex-constrained ridge quadratic programs.
+"""Simplex-constrained ridge quadratic programs, solved a stack at a time.
 
 Every weight vector in this package — the estimator's donor weights, oracle
 weights on latent structure, and the level-matching baselines — solves
@@ -8,25 +8,19 @@ weights on latent structure, and the level-matching baselines — solves
 once its metric has been absorbed into ``y`` and ``X`` (the estimator
 rescales their eigen-coordinates, the baselines residualize them).
 :func:`build` reduces that to coefficient form (gram, linear, offset) for
-the baselines; ``hsc.fit_path`` assembles a whole rho grid of estimator
-programs at once from the same least-squares form.
+the baselines; ``hsc.fit_path`` assembles a whole rho grid as one stack of
+programs of that form.
 
-:func:`solve` is polish-first: a primal active-set method in the manner of
-Lawson & Hanson (1974, *Solving Least Squares Problems*, ch. 23).  Each
-round solves the KKT system on the current face, and on that face enlarged
-by the coordinates whose gradient undercuts the support multiplier; a face
-solution with negative weights drops those coordinates and is solved
-again.  An improved point that is not yet stationary starts the next
-round, so a good starting point (such as the solution at a neighbouring
-rho) finishes the run in a face solve or two, and even the uniform start
-usually does.  With ``ridge > 0`` (every estimator program and the SDID
-unit weights) the restricted Hessian is positive definite and a face costs
-one LAPACK solve; only ``ridge == 0`` programs, whose faces can be flat,
-pay for a least-squares solve (``np.linalg.lstsq``).  A round that lowers
-nothing (backoff can land on a worse face) ends in the ratio step of
-Lawson & Hanson's inner loop instead: a move toward one face's solution
-that stops where the first weight reaches zero, so every round lowers the
-objective or ends the run.
+:func:`solve` runs one primal active-set method, after Lawson & Hanson
+(1974, *Solving Least Squares Problems*, ch. 23), on every program of a
+stack in lockstep.  Each round solves the KKT systems of all running
+programs, each on its current face, in one batched LAPACK call; a face
+solution with negative weights drops them and is solved again (backoff).
+A good start (the previous fold's weights at the same rho) finishes most
+programs in a round.  With ``ridge > 0`` every face is positive definite;
+``ridge == 0`` faces can be flat and take a least-squares solve.  A program
+whose round lowers nothing takes the ratio step of Lawson & Hanson's inner
+loop, alone, so every round lowers its objective or ends its run.
 
 Every tolerance, and the reported KKT residual, is relative to
 :attr:`SimplexQP.scale`, so data in other units solve alike (Gill, Murray &
@@ -36,7 +30,6 @@ problem).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,69 +51,76 @@ class SolverStall(RuntimeError):
 class SimplexQP:
     """Coefficients of ``w' gram w + 2 linear' w + offset + ridge ||w||^2``.
 
-    ``gram`` excludes the ridge term; ``offset`` makes the objective equal
-    the original residual norm, so values are directly comparable across
-    candidate designs.  ``scale``, the largest of ``|offset|``,
-    ``max|gram|``, ``2 max|linear|`` and ``ridge`` (1 if all are 0), is the
-    magnitude of the terms the objective sums.
+    One program has ``gram`` (n, n), ``linear`` (n,) and a scalar
+    ``offset``; a stack of G programs sharing ``ridge`` has (G, n, n),
+    (G, n) and (G,), checked once, as a whole.  ``gram`` excludes the ridge
+    term; ``offset`` makes the objective equal the original residual norm,
+    so values are directly comparable across candidate designs.  ``scale``,
+    per program the largest of ``|offset|``, ``max|gram|``,
+    ``2 max|linear|`` and ``ridge`` (1 if all are 0), is the magnitude of
+    the terms the objective sums.
     """
 
     gram: np.ndarray
     linear: np.ndarray
-    offset: float
+    offset: float | np.ndarray
     ridge: float
-    scale: float = field(init=False)
+    scale: float | np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         g = np.asarray(self.gram, dtype=float)
         l = np.asarray(self.linear, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        o = np.asarray(self.offset, dtype=float)
+        if g.ndim not in (2, 3) or g.shape[-1] != g.shape[-2]:
             raise ValueError(f"gram must be square, got shape {g.shape}")
-        if l.shape != (g.shape[0],):
+        if l.shape != g.shape[:-1] or o.shape != g.shape[:-2]:
             raise ValueError(
-                f"linear length {l.shape} does not match gram size {g.shape[0]}"
+                f"linear length {l.shape} and offset shape {o.shape} do not "
+                f"match gram shape {g.shape}"
             )
-        for name, value in (("gram", g), ("linear", l), ("offset", self.offset)):
-            if not np.isfinite(value).all():
+        sizes = {"gram": np.maximum(g.max(axis=(-2, -1)), -g.min(axis=(-2, -1))),
+                 "linear": 2.0 * abs(l).max(axis=-1), "offset": abs(o)}
+        for name, size in sizes.items():
+            if not np.isfinite(size).all():  # NaN and inf reach the max
                 raise ValueError(f"{name} must be finite")
         if not np.isfinite(self.ridge) or self.ridge < 0:
             raise ValueError(f"ridge must be finite and nonnegative, got {self.ridge}")
-        scale = float(max(abs(self.offset), abs(g).max(),
-                          2.0 * abs(l).max(), self.ridge)) or 1.0
-        asym = float(abs(g - g.T).max())
-        if asym > 1e-10 * scale:
-            raise ValueError(f"gram asymmetry {asym:.3e} exceeds tolerance")
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "gram", (g + g.T) / 2.0)
+        scale = np.maximum.reduce([*sizes.values(), np.full(o.shape, self.ridge)])
+        scale = np.where(scale > 0.0, scale, 1.0)
+        if (g != g.swapaxes(-1, -2)).any():  # a syrk product is kept as it is
+            asym = abs(g - g.swapaxes(-1, -2)).max(axis=(-2, -1))
+            if (asym > 1e-10 * scale).any():
+                raise ValueError(f"gram asymmetry {asym.max():.3e} exceeds tolerance")
+            g = (g + g.swapaxes(-1, -2)) / 2.0
+        object.__setattr__(self, "scale", scale if scale.ndim else float(scale))
+        object.__setattr__(self, "gram", g)
         object.__setattr__(self, "linear", l)
-
-    @property
-    def n(self) -> int:
-        return self.gram.shape[0]
+        object.__setattr__(self, "offset", o if o.ndim else float(o))
 
     def evaluate(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        """Objective value and gradient at ``w`` (no feasibility check),
-        both from one product ``gram @ w``."""
-        w = np.asarray(w, dtype=float)
-        half_grad = self.gram @ w + self.ridge * w + self.linear
-        return float(w @ (half_grad + self.linear)) + self.offset, 2.0 * half_grad
+        """Objective value and gradient at ``w``, one point per program (no
+        feasibility check)."""
+        return _evaluate(self.gram, self.linear, self.offset, self.ridge,
+                         np.asarray(w, dtype=float))
 
 
 @dataclass(frozen=True)
 class QPSolution:
     """Solver output: simplex weights plus convergence diagnostics.
 
-    ``iterations`` counts ratio steps (0 when the opening polish finished
-    the run) and ``face_solves`` the linear solves of the active-set
-    method, backoff rounds and ratio steps included.  ``kkt_residual`` is
-    the distance from stationarity relative to :attr:`SimplexQP.scale`.
+    For one program ``weights`` is a vector and ``objective`` and
+    ``kkt_residual`` (the distance from stationarity relative to
+    :attr:`SimplexQP.scale`) are floats; a stack adds a leading program
+    axis.  ``iterations`` counts ratio steps (0 when the polish rounds
+    finished every run) and ``face_solves`` the faces solved, backoff and
+    ratio steps included, both summed over the stack.
     """
 
     weights: np.ndarray
-    objective: float
+    objective: float | np.ndarray
     iterations: int
     face_solves: int
-    kkt_residual: float
+    kkt_residual: float | np.ndarray
 
 
 def build(y: np.ndarray, x: np.ndarray, ridge: float) -> SimplexQP:
@@ -141,110 +141,90 @@ def build(y: np.ndarray, x: np.ndarray, ridge: float) -> SimplexQP:
     )
 
 
-def _kkt_residual(qp: SimplexQP, w: np.ndarray, grad: np.ndarray) -> float:
-    """Distance from simplex stationarity, relative to ``qp.scale``.
+def _evaluate(gram, linear, offset, ridge, w):
+    """Objective values and gradients at ``w``, from one product ``gram @ w``."""
+    half_grad = np.matmul(gram, w[..., None])[..., 0] + ridge * w + linear
+    return np.einsum("...i,...i->...", w, half_grad + linear) + offset, 2.0 * half_grad
 
-    On the support the gradient must be a common constant (the multiplier);
-    off the support it must not undercut that constant.
+
+def _stationarity(x: np.ndarray, grad: np.ndarray, scale):
+    """Relative KKT residual of each point, its support and its entering
+    coordinates.
+
+    On the support the gradient must be a common constant (the multiplier,
+    its mean there); off the support it must not undercut that constant,
+    and the coordinates whose gradient does enter.
     """
-    active = w > 0.0
-    on_support = grad[active]
-    if not on_support.size:
-        return float(np.inf)
-    nu = on_support.mean()
-    res = float(abs(on_support - nu).max())
-    if on_support.size < w.size:
-        res = max(res, float((nu - grad[~active]).max()), 0.0)
-    return res / qp.scale
+    support = x > 0.0
+    on_support = np.where(support, grad, 0.0).sum(axis=-1, keepdims=True)
+    gap = on_support / support.sum(axis=-1, keepdims=True) - grad
+    spread = np.where(support, np.abs(gap), gap).max(axis=-1)
+    return np.maximum(spread, 0.0) / scale, support, ~support & (gap > 0.0)
 
 
-def _face_solve(qp: SimplexQP, idx: np.ndarray) -> np.ndarray:
-    """Stationary point of the QP on the face ``{w_idx sums to 1}``.
+def _face_solve(gram, linear, ridge, rows, faces) -> np.ndarray:
+    """Stationary points of programs ``rows`` of a stack on ``faces``.
 
-    Solves ``H w + nu 1 = -2 linear_S``, ``1'w = 1`` with
-    ``H = 2 (gram_SS + ridge I)``.  For ``ridge > 0`` ``H`` is positive
-    definite and one LAPACK solve with two right-hand sides gives
-    ``H^-1 (-2 linear_S)`` and ``H^-1 1``; the sum constraint then fixes
-    the multiplier (a Schur complement of one entry).  For ``ridge == 0``
-    the restricted gram may be singular on a flat face, as may ``H`` in
-    floating point when the ridge is below the gram's rounding, so the
-    bordered system is solved by ``np.linalg.lstsq``, whose minimum-norm
-    solution picks the face's minimum-norm point; its border is scaled to
-    the size of ``H`` so the singular-value cutoff cannot drop the border's.
+    Row ``b``, zero off ``faces[b]``, solves ``A w + nu 1 = -linear_S``,
+    ``1'w = 1`` with ``A = gram_SS + ridge I`` for program ``rows[b]``.
+    Every system is posed at full size, the coordinates off its face pinned
+    by identity rows and columns with zero right-hand sides (they decouple
+    exactly, and partial pivoting never mixes them in), so one LAPACK solve
+    with two right-hand sides gives ``A^-1 (-linear_S)`` and ``A^-1 1`` for
+    the batch; the sum constraint then fixes each multiplier.  Every
+    ``ridge == 0`` face, and a batch with a face singular in floating
+    point, is solved by :func:`_least_squares`, a face at a time.
     """
-    m = idx.size
-    h = 2.0 * qp.gram.take(idx, axis=0).take(idx, axis=1)
-    if qp.ridge > 0.0:
-        h.flat[:: m + 1] += 2.0 * qp.ridge
-        rhs = np.empty((m, 2))
-        rhs[:, 0] = -2.0 * qp.linear[idx]
-        rhs[:, 1] = 1.0
+    if ridge > 0.0:
+        n = faces.shape[1]
+        a = gram.take(rows, axis=0)
+        a *= faces[:, :, None]
+        a *= faces[:, None, :]
+        a.reshape(rows.size, -1)[:, :: n + 1] += np.where(faces, ridge, 1.0)
+        rhs = np.empty((rows.size, n, 2))
+        rhs[..., 0] = -linear.take(rows, axis=0) * faces
+        rhs[..., 1] = faces
         try:
-            w0, v = np.linalg.solve(h, rhs).T
+            w0, v = np.linalg.solve(a, rhs).transpose(2, 0, 1)
         except np.linalg.LinAlgError:
-            pass  # singular in floating point: solved by lstsq below
+            pass
         else:
-            return w0 - ((w0.sum() - 1.0) / v.sum()) * v
-    c = float(np.max(np.abs(h))) or 1.0  # any border does when H is zero
-    kkt = np.zeros((m + 1, m + 1))
-    kkt[:m, :m] = h
-    kkt[:m, m] = kkt[m, :m] = c
-    rhs = np.concatenate([-2.0 * qp.linear[idx], [c]])
-    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:m]
+            nu = (w0.sum(axis=1, keepdims=True) - 1.0) / v.sum(axis=1, keepdims=True)
+            return w0 - nu * v
+    return np.stack([_least_squares(gram[r], linear[r], ridge, face)
+                     for r, face in zip(rows, faces)])
 
 
-def _polish(qp: SimplexQP, support: np.ndarray) -> tuple[np.ndarray | None, int]:
-    """Minimize the QP on the face spanned by ``support``, with backoff.
+def _least_squares(gram, linear, ridge, face) -> np.ndarray:
+    """One program's face solution from the bordered KKT system.
 
-    Returns a full-length weight vector (None when no feasible face is
-    found) and the number of face solves spent.  When the face solution
-    has negative weights, those coordinates are dropped and the smaller
-    face solved again, so a too-large trial shrinks to a feasible face
-    instead of being rejected outright; every round drops a coordinate, so
-    at most ``support.sum()`` solves are spent.  The caller's exact
-    stationarity check decides whether the candidate is accepted, so an
-    inconsistent system merely yields a rejected candidate.
+    The restricted gram of a ``ridge == 0`` program may be singular on a
+    flat face, as may ``A`` in floating point when the ridge is below the
+    gram's rounding, so ``np.linalg.lstsq`` solves the bordered system: its
+    minimum-norm solution is the face's minimum-norm point.  The border is
+    scaled to the size of ``A`` so the singular-value cutoff cannot drop it.
     """
-    idx = support.nonzero()[0]
-    solves = 0
-    while idx.size:
-        solves += 1
-        try:
-            w_s = _face_solve(qp, idx)
-        except np.linalg.LinAlgError:
-            return None, solves
-        if not np.isfinite(w_s).all():
-            return None, solves
-        negative = w_s < -1e-12
-        if negative.any():
-            idx = idx[~negative]
-            continue
-        # Dust-level coordinates are truly inactive; reporting them as
-        # positive would misclassify them in the stationarity check.
-        w_s[w_s < 1e-12] = 0.0
-        w = np.zeros(qp.n)
-        w[idx] = w_s
-        total = w.sum()
-        if not np.isfinite(total) or abs(total - 1.0) > 1e-8:
-            return None, solves
-        return w / total, solves
-    return None, solves
+    idx = np.flatnonzero(face)
+    s = idx.size
+    kkt = np.zeros((s + 1, s + 1))
+    kkt[:s, :s] = gram.take(idx, axis=0).take(idx, axis=1)
+    kkt.flat[: s * (s + 1) : s + 2] += ridge
+    c = float(np.max(np.abs(kkt))) or 1.0  # any border does when A is zero
+    kkt[:s, s] = kkt[s, :s] = c
+    w = np.zeros(face.size)
+    w[idx] = np.linalg.lstsq(kkt, np.append(-linear[idx], c), rcond=None)[0][:s]
+    return w
 
 
-def _ratio_step(qp: SimplexQP, x: np.ndarray, face: np.ndarray) -> np.ndarray | None:
-    """Move from ``x`` toward the solution of ``face`` until a weight hits zero.
-
-    The step length is the largest ``alpha <= 1`` that keeps
-    ``x + alpha (z - x)`` nonnegative; when ``face`` contains the support
-    of ``x``, the objective does not rise, by convexity.  Returns None when
-    the face cannot be solved or the step is blocked (``alpha == 0``: a
-    zero weight of ``x`` would turn negative).
+def _ratio_step(gram, linear, ridge, r: int, x: np.ndarray, face: np.ndarray):
+    """Move program ``r`` from ``x`` toward its solution ``z`` on ``face``
+    by the largest ``alpha <= 1`` that keeps ``x + alpha (z - x)``
+    nonnegative; when ``face`` holds the support of ``x`` the objective
+    does not rise, by convexity.  None when the face cannot be solved or
+    the step is blocked (a zero weight of ``x`` would turn negative).
     """
-    idx = np.nonzero(face)[0]
-    direction = -x
-    try:
-        direction[idx] += _face_solve(qp, idx)
-    except np.linalg.LinAlgError:
+    direction = _face_solve(gram, linear, ridge, np.array([r]), face[None])[0] - x
+    if not np.isfinite(direction).all():
         return None
     shrinking = direction < 0.0
     alpha = float(np.min(x[shrinking] / -direction[shrinking], initial=1.0))
@@ -255,157 +235,165 @@ def _ratio_step(qp: SimplexQP, x: np.ndarray, face: np.ndarray) -> np.ndarray | 
     return w / w.sum()
 
 
-def _finish(
-    w: np.ndarray, objective: float, iterations: int, face_solves: int, kkt: float
-) -> QPSolution:
-    w = w.copy()
-    w[w < 1e-12] = 0.0
-    total = w.sum()
-    if total <= 0.0:
-        raise AssertionError("all weights clamped to zero")
-    return QPSolution(
-        weights=w / total,
-        objective=objective,
-        iterations=iterations,
-        face_solves=face_solves,
-        kkt_residual=kkt,
-    )
-
-
 def solve(
-    qp: SimplexQP,
+    problem: SimplexQP,
     tol: float = 1e-10,
     init: np.ndarray | None = None,
     trace: list | None = None,
 ) -> QPSolution:
-    """Minimize the QP over the simplex.
+    """Minimize every program of ``problem`` over the simplex.
 
-    Each round solves, with backoff, the face of the current support and,
-    when some zero coordinate's gradient undercuts the support multiplier,
-    the face enlarged by those coordinates.  A polished point is accepted
-    when it does not raise the objective beyond rounding noise and meets
-    the stationarity target.  A polished point that lowers the objective
-    without meeting the target becomes the current point, and the next
-    round rebuilds the support and the entering set from it.  A round in
-    which no polished point lowers the objective ends in a ratio step
-    instead: the support, plus the entering coordinate that undercuts the
-    multiplier most, spans a face whose solution ``z`` is solved once, and
-    the run moves to ``x + alpha (z - x)`` with ``alpha`` the largest step
-    up to 1 that keeps every weight nonnegative.  By convexity that step
-    never raises the objective.  When it is blocked at ``alpha == 0`` (the
-    entering weight would start negative) or lowers nothing, the step is
-    taken on the support's face alone, and then toward the support's face
-    without its steepest coordinate.  A run the opening rounds finish
-    reports ``iterations == 0``.
+    Each round polishes, in lockstep, every running program's face: its
+    support and the zero coordinates whose gradient undercuts the support
+    multiplier.  A polished point is accepted when it does not raise the
+    objective beyond rounding noise and meets the stationarity target; one
+    that only lowers the objective becomes the current point.  A program
+    whose polish lowers nothing, or whose point has no entering coordinate,
+    takes a ratio step instead, toward the face of its support plus its
+    steepest entering coordinate, else of its support, else of its support
+    without its steepest coordinate.  Runs the polish rounds finish report
+    ``iterations == 0``.
 
     Parameters
     ----------
     tol : float
-        Stationarity target; the run stops when the relative KKT residual
+        Stationarity target; a run stops when the relative KKT residual
         drops below ``tol * (1 + ||gradient|| / scale)``.
     init : ndarray, optional
-        Starting point on the simplex (nonnegative, summing to 1 within
-        1e-12); defaults to the uniform vector.  The solution of a nearby
-        program makes the opening polish land on the optimal face directly.
+        A start on the simplex (nonnegative, summing to 1 within 1e-12)
+        per program, shaped like ``problem.linear``; uniform by default.
+        A nearby program's solution lands the first round on the optimum.
     trace : list, optional
-        If given, the starting objective is appended, then the objective of
-        every point the run moves to, the certified point's last.
+        If given, the starting objective, then the objective after every
+        move, the certified point's last (for a stack, every program's).
 
     Raises
     ------
     ValueError
-        When ``init`` has the wrong length or lies off the simplex.
+        When ``init`` has the wrong shape or lies off the simplex.
     SolverStall
-        When no ratio step lowers the objective, or ``4 n`` rounds pass
-        without a certified point; the current point, the best the run
-        found, is attached.
+        When no ratio step lowers a program's objective, or ``4 n`` rounds
+        pass without certifying it; the whole stack's solution, each
+        program's best point, is attached.
     """
-    n = qp.n
+    n = problem.gram.shape[-1]
+    gram = problem.gram.reshape(-1, n, n)
+    linear = problem.linear.reshape(-1, n)
+    offset = np.reshape(problem.offset, -1)
+    scale = np.reshape(problem.scale, -1)
+    ridge = problem.ridge
+    stacked = problem.gram.ndim == 3
     if init is None:
-        x = np.full(n, 1.0 / n)
+        x = np.full(linear.shape, 1.0 / n)
     else:
         x = np.array(init, dtype=float)
-        on_simplex = (x >= 0.0).all() and abs(x.sum() - 1.0) <= 1e-12
-        if x.shape != (n,) or not on_simplex:
+        on_simplex = (x >= 0.0).all() and (abs(x.sum(axis=-1) - 1.0) <= 1e-12).all()
+        if x.shape != problem.linear.shape or not on_simplex:
             raise ValueError(f"init must be a point of the {n}-weight simplex")
         # Dust-level weights are inactive, as in every point the run moves
         # to: a ratio step blocked by one would barely move.
-        dust = (x > 0.0) & (x < 1e-12)
-        if dust.any():
-            x[dust] = 0.0
-            x /= x.sum()
-    # The objective cancels terms of magnitude ``qp.scale``, so differences
+        x = np.where(x < 1e-12, 0.0, x).reshape(linear.shape)
+        x /= x.sum(axis=1, keepdims=True)
+    # The objective cancels terms of magnitude ``scale``, so differences
     # below ``noise`` are indistinguishable from rounding; the KKT residual,
     # not the objective, discriminates near the optimum.
-    noise = 1e-12 * qp.scale
+    noise = 1e-12 * scale
+    f, grad = _evaluate(gram, linear, offset, ridge, x)
+    kkt = np.full(len(x), np.inf)
+    steps = np.zeros(len(x), dtype=int)
+    live = np.ones(len(x), dtype=bool)
+    face_solves = 0
 
-    f_x, grad_x = qp.evaluate(x)
-    if trace is not None:
-        trace.append(f_x)
-    steps = face_solves = 0
-    on_face_optimum = False
+    def record() -> None:
+        if trace is not None:
+            trace.append(f.copy() if stacked else float(f[0]))
+
+    _, support, entering = _stationarity(x, grad, scale)
+    face = support | entering
+    record()
     for _ in range(4 * n):
-        # Each round tries the current face and the face the gradient
-        # points at.  Every adopted point lowers the objective, so no face
-        # is visited twice.
-        support = x > 0.0
-        nu = grad_x[support].mean()
-        entering = ~support & (grad_x < nu)
-        trials = [] if on_face_optimum else [support]
-        any_entering = entering.any()
-        if any_entering:
-            trials.append(support | entering)
-        for trial in trials:
-            polished, solves = _polish(qp, trial)
-            face_solves += solves
-            if polished is None:
-                continue
-            f_p, grad_p = qp.evaluate(polished)
-            if f_p > f_x + noise:
-                continue
-            kkt_p = _kkt_residual(qp, polished, grad_p)
-            if kkt_p <= tol * (1.0 + math.sqrt(grad_p @ grad_p) / qp.scale):
-                if trace is not None:
-                    trace.append(f_p)
-                return _finish(polished, f_p, steps, face_solves, kkt_p)
-            if f_p < f_x:
-                x, f_x, grad_x = polished, f_p, grad_p
-                on_face_optimum = True
-                break
-        else:
-            # Backoff drops every negative coordinate at once and can land
-            # on a worse face; a ratio step stops where the first weight
-            # reaches zero instead.  The entering coordinate is tried first;
-            # when its step is blocked, x is not yet optimal on its own face
-            # and the step is taken on that face (Lawson & Hanson's inner
-            # loop).  A flat face (near-duplicate donors at ridge 0) can leave
-            # its minimum-norm point with a spread support gradient; moving
-            # off the steepest coordinate then lowers the objective.
-            faces = [support]
-            if any_entering:
-                j = np.argmin(np.where(entering, grad_x, np.inf))
-                faces.insert(0, support | (np.arange(n) == j))
+        if not live.any():
+            break
+        rows = np.flatnonzero(live)
+        # Polish with backoff: a face solution with negative weights drops
+        # them and the smaller face is solved again, so a too-large trial
+        # shrinks to a feasible face.  One that empties leaves no positive
+        # weight and is rejected below, as is any inconsistent system.
+        z, trial, todo = np.empty((rows.size, n)), face[rows], np.arange(rows.size)
+        while todo.size:
+            z[todo] = w = _face_solve(gram, linear, ridge, rows[todo], trial[todo])
+            face_solves += todo.size
+            negative = w < -1e-12
+            trial[todo] &= ~negative
+            todo = todo[negative.any(axis=1) & trial[todo].any(axis=1)]
+        # Dust-level coordinates are truly inactive; reporting them as
+        # positive would misclassify them in the stationarity check.
+        z[z < 1e-12] = 0.0
+        total = z.sum(axis=1, keepdims=True)
+        polished = np.abs(total[:, 0] - 1.0) <= 1e-8  # also rejects NaN
+        p = x.copy()
+        p[rows[polished]] = z[polished] / total[polished]
+        f_p, grad_p = _evaluate(gram, linear, offset, ridge, p)
+        kkt_p, support, entering = _stationarity(p, grad_p, scale)
+        target = tol * (1.0 + np.sqrt(np.einsum("gi,gi->g", grad_p, grad_p)) / scale)
+        moved = np.zeros(len(x), dtype=bool)
+        moved[rows] = polished
+        done = moved & (f_p <= f + noise) & (kkt_p <= target)
+        moved &= done | (f_p < f)
+        x[moved], f[moved], grad[moved] = p[moved], f_p[moved], grad_p[moved]
+        face[moved] = support[moved] | entering[moved]
+        kkt[done] = kkt_p[done]
+        live &= ~done
+        if moved.any():
+            record()
+        # Backoff can land on a worse face; a ratio step stops where the
+        # first weight reaches zero instead.  A blocked entering step means
+        # x is not optimal on its own face (Lawson & Hanson's inner loop); a
+        # flat face (near-duplicate donors at ridge 0) can leave a spread
+        # support gradient, lowered by leaving the steepest coordinate.
+        stuck = np.flatnonzero(live & ~(moved & entering.any(axis=1)))
+        for r in stuck:
+            _, support, entering = _stationarity(x[r], grad[r], scale[r])
+            trials = [support]
+            if entering.any():
+                j = np.argmin(np.where(entering, grad[r], np.inf))
+                trials.insert(0, support | (np.arange(n) == j))
             if np.count_nonzero(support) > 1:
-                steepest = np.argmax(np.where(support, grad_x, -np.inf))
-                faces.append(support & (np.arange(n) != steepest))
-            for face in faces:
+                steepest = np.argmax(np.where(support, grad[r], -np.inf))
+                trials.append(support & (np.arange(n) != steepest))
+            for trial in trials:
                 face_solves += 1
-                w = _ratio_step(qp, x, face)
+                w = _ratio_step(gram, linear, ridge, r, x[r], trial)
                 if w is not None:
-                    f_w, grad_w = qp.evaluate(w)
-                    if f_w < f_x:
+                    f_w, grad_w = _evaluate(gram[r], linear[r], offset[r], ridge, w)
+                    if f_w < f[r]:
                         break
             else:
-                break
-            steps += 1
-            x, f_x, grad_x = w, f_w, grad_w
-            on_face_optimum = False
-        if trace is not None:
-            trace.append(f_x)
-
-    kkt = _kkt_residual(qp, x, grad_x)
-    raise SolverStall(
-        f"no certified point after {steps} ratio steps "
-        f"(relative kkt residual {kkt:.3e}, tol {tol:.1e})",
-        _finish(x, f_x, steps, face_solves, kkt),
+                live[r] = False  # stalled: its residual stays infinite
+                continue
+            x[r], f[r], grad[r] = w, f_w, grad_w
+            steps[r] += 1
+            _, support, entering = _stationarity(w, grad_w, scale[r])
+            face[r] = support | entering
+        if stuck.size:
+            record()
+    stalled = np.isinf(kkt)
+    kkt[stalled] = _stationarity(x[stalled], grad[stalled], scale[stalled])[0]
+    x[x < 1e-12] = 0.0
+    x /= x.sum(axis=1, keepdims=True)
+    solution = QPSolution(
+        weights=x if stacked else x[0],
+        objective=f if stacked else float(f[0]),
+        iterations=int(steps.sum()),
+        face_solves=face_solves,
+        kkt_residual=kkt if stacked else float(kkt[0]),
     )
+    if stalled.any():
+        g = np.flatnonzero(stalled)[0]
+        where = f" in program {g} of {len(x)}" if stacked else ""
+        raise SolverStall(
+            f"no certified point after {steps[g]} ratio steps{where} "
+            f"(relative kkt residual {kkt[g]:.3e}, tol {tol:.1e})",
+            solution,
+        )
+    return solution

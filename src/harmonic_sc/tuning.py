@@ -8,12 +8,13 @@ data-driven, and the forecast rule's coefficients — on its own training
 window, and only pre-treatment data ever enters: the API takes the
 pre-period arrays alone, so post-treatment outcomes are not merely ignored
 but structurally absent.  Donor weights depend on (q, fold, rho) but not on
-the forecast rule, so each such program is solved once and its weights and
-smooth component are shared by every rule of that q.  Each (q, fold) rho
-path is scored as one stack: ``hsc.fit_path`` returns the path's weights
-``W`` and smooth parts ``E`` as arrays, each rule forecasts every column of
-``E`` in one :func:`forecast.compose`, and the squared errors of all grid
-points come from one product ``x_val @ W.T``.
+the forecast rule, so each (q, fold) rho path is solved once, as one stack
+of simplex QPs started from the previous fold's weights (``hsc.fit_path``),
+and shared by every rule of that q.  Each path is scored as one stack too:
+each rule forecasts every column of the smooth parts ``E`` in one
+:func:`forecast.compose`, and the squared errors of all grid points come
+from one product ``x_val @ W.T``.  A q whose first training window is
+shorter than q+2 is excluded before any solve.
 
 Ties in the CV objective break toward larger rho (the candidate that leans
 hardest on donor matching and least on the forecaster); across candidate
@@ -140,11 +141,9 @@ class CvResult:
     excluded: tuple
 
 
-#: Failures of a weight path that exclude every candidate of its q from CV
-#: instead of aborting the run.
-_CV_FAILURES = (
-    ValueError, forecast.ForecastError, qp.SolverStall, spectral.EigenSolverError
-)
+#: Numerical failures of a weight path that exclude every candidate of its q
+#: from CV instead of aborting the run; anything else is a bug and propagates.
+_CV_FAILURES = (qp.SolverStall, spectral.EigenSolverError, np.linalg.LinAlgError)
 #: Failures of a forecast rule's fit that exclude its candidate.  Narrower
 #: than the weights' catch: a bare ``ValueError`` from array code is a bug.
 _FORECAST_FAILURES = (forecast.ForecastError, np.linalg.LinAlgError)
@@ -182,6 +181,11 @@ def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResu
     failed = {}  # candidate index -> (training length, reason) of its first failure
     for q in dict.fromkeys(q for q, _ in plan.candidates):
         members = [ci for ci, cand in enumerate(plan.candidates) if cand[0] == q]
+        if origins[0] < q + 2:  # checked before any solve
+            reason = f"{origins[0]}-period first training window; q={q} needs {q + 2}"
+            failed.update((ci, (origins[0], reason)) for ci in members)
+            continue
+        start = None  # each fold starts from the previous fold's weights
         for li, k in enumerate(origins):
             live = [ci for ci in members if ci not in failed]
             if not live:
@@ -195,14 +199,15 @@ def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResu
                     else float(plan.zeta)
                 )
                 basis = spectral.spectral_basis(k, q)
-                _, weights, smooth = hsc.fit_path(
-                    y_tr, x_tr, basis, grid, zeta * zeta * k
+                solution, smooth = hsc.fit_path(
+                    y_tr, x_tr, basis, grid, zeta * zeta * k, init=start
                 )
             except _CV_FAILURES as exc:
                 # The weights failed: every rule of this q loses the fold.
                 for ci in live:
                     failed[ci] = (k, str(exc))
                 continue
+            weights = start = solution.weights
             donor_part = x_val @ weights.T  # (h, G): one column per rho
             for ci in live:
                 try:

@@ -226,6 +226,18 @@ def test_cv_infeasible_folds_exit(tmp_path, capsys):
     assert "largest feasible fold count" in capsys.readouterr().err
 
 
+def test_cv_short_first_window_exit(tmp_path, capsys):
+    # At t0 = 3, one-step folds train the first fold on one period: the
+    # fold layout is named, not a failure deep inside the weight solve.
+    panel_csv = write_panel_csv(tmp_path / "panel.csv")
+    code = cli.main(
+        ["cv", "--panel", str(panel_csv), "--treated", "A", "--t0", "3",
+         "--h", "1", "--folds", "2", "--out", str(tmp_path / "cv")]
+    )
+    assert code == 1
+    assert "1-period first training window; q=1 needs 3" in capsys.readouterr().err
+
+
 def test_cv_overflowing_levels_exit(tmp_path, capsys):
     # Squares of levels near 1e301 overflow: an input error, not a traceback.
     panel_csv = write_panel_csv(tmp_path / "panel.csv", scale=1e301)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonic_sc import hsc, qp, spectral
+from harmonic_sc import hsc, mc, qp, spectral, tuning
 from harmonic_sc.forecast import AR_ORDER, RULE_KINDS, ForecastError
 from harmonic_sc.panel import PrePostView
 
@@ -259,25 +259,105 @@ def test_mismatched_view_shapes():
 @pytest.mark.parametrize("q", [1, 2])
 def test_fit_path_rows_match_fit_at_each_rho(q):
     # The array-valued path: row g of W and column g of E are what a fit at
-    # grid point g alone gives (warm starts move the weights by no more
-    # than the solver's tolerance).
+    # grid point g alone gives (the stack's solve and a stack of one differ
+    # by no more than the solver's tolerance).
     view = random_view(23, t0=36, n_donors=7)
     zeta = 0.3
     grid = np.linspace(0.0, 1.0, 6)
     basis = spectral.spectral_basis(view.t0, q)
-    solutions, weights, smooth = hsc.fit_path(
+    solution, smooth = hsc.fit_path(
         view.y_pre, view.x_pre, basis, grid, zeta * zeta * view.t0
     )
+    weights = solution.weights
     assert weights.shape == (grid.size, view.n_donors)
+    assert solution.kkt_residual.shape == solution.objective.shape == grid.shape
     assert smooth.shape == (view.t0, grid.size)
     for g, rho in enumerate(grid):
         fitted = hsc.fit(view, hsc.HscConfig(rho=rho, q=q, zeta=zeta))
-        np.testing.assert_array_equal(solutions[g].weights, weights[g])
         np.testing.assert_allclose(weights[g], fitted.weights, rtol=0.0, atol=1e-9)
         scale = np.abs(fitted.e_pre).max()
         np.testing.assert_allclose(
             smooth[:, g], fitted.e_pre, rtol=0.0, atol=1e-8 * scale
         )
+
+
+def reference_fit_path(y, x, basis, rho_grid, ridge):
+    """The per-program chain: one program per rho, built from the rescaled
+    eigen-coordinates and solved along the grid from the previous rho's
+    weights.  Returns the weights (G x n) and each program."""
+    v = basis.eigenvectors
+    u_y, u_x = v.T @ y, v.T @ x
+    weights, problems, start = [], [], None
+    for rho in rho_grid:
+        root = np.sqrt(spectral.rho_metric(basis, rho).match_gains)
+        problems.append(qp.build(root * u_y, root[:, None] * u_x, ridge))
+        start = qp.solve(problems[-1], init=start).weights
+        weights.append(start)
+    return np.array(weights), problems
+
+
+def applied_style_panel(seed, t0=80, n_donors=30):
+    """Three common factors (a random walk, an integrated AR(1), a stationary
+    AR(1)) with random loadings and levels, donors adding their own random
+    walks and noise, and a treated unit mixing six donors' common parts."""
+    rng = np.random.default_rng([seed, t0, n_donors])
+    shocks = rng.normal(size=(t0, 3))
+    factors = np.column_stack([shocks[:, 0].cumsum(), np.zeros(t0), np.zeros(t0)])
+    for t in range(1, t0):
+        factors[t, 1] = 0.5 * factors[t - 1, 1] + shocks[t, 1]
+        factors[t, 2] = 0.6 * factors[t - 1, 2] + shocks[t, 2]
+    factors[:, 1] = factors[:, 1].cumsum()
+    common = factors @ rng.normal([1.0, 0.5, 0.0], 0.5, (n_donors, 3)).T
+    common += rng.uniform(5.0, 15.0, n_donors)
+    x = common + 0.3 * rng.normal(size=(t0, n_donors)).cumsum(axis=0)
+    x += rng.normal(0.0, 0.5, (t0, n_donors))
+    mix = rng.dirichlet(np.ones(6))
+    y = common[:, rng.choice(n_donors, 6, replace=False)] @ mix
+    return y + 0.7 * rng.normal(size=t0).cumsum() + rng.normal(0.0, 0.5, t0), x
+
+
+def stack_design(design, seed):
+    """A panel of each design the stacked path must match the chain on."""
+    if design == "applied":
+        return applied_style_panel(seed)
+    if design == "grid":
+        cfg = mc.GridDgpConfig(kappa=2.0, rho_u=0.5, t0=60, t_post=10, n0=30, master_seed=7)
+        view = mc.simulate_grid(cfg, seed)[1].to_view()
+        return view.y_pre, view.x_pre
+    rng = np.random.default_rng(seed)
+    x = 10.0 + rng.normal(size=(40, 8)).cumsum(axis=0)
+    if design == "duplicated donors":
+        x[:, 5] = x[:, 2]
+    y = x @ rng.dirichlet(np.full(8, 0.3))
+    return (y if design == "exact fit" else y + 0.3 * rng.normal(size=40)), x
+
+
+@pytest.mark.parametrize(
+    "design, seed, q, h, zeta",
+    [("applied", seed, q, 4, "auto") for seed in range(1, 6) for q in (1, 2)]
+    + [("grid", rep, 1, 1, "auto") for rep in (1, 2, 3)]
+    + [("duplicated donors", 61, 1, 2, "auto"), ("duplicated donors", 62, 2, 2, 0.0),
+       ("exact fit", 63, 2, 2, "auto"), ("exact fit", 64, 1, 2, 0.0),
+       ("zeta = 0", 65, 1, 2, 0.0)],
+)
+def test_stacked_path_matches_per_program_chain(design, seed, q, h, zeta):
+    # Folds as cross-validation runs them: the first from the uniform start,
+    # each later one from the previous fold's stacked weights.  Every
+    # program is certified, and the weights match the chain's.
+    y, x = stack_design(design, seed)
+    grid = tuning.uniform_grid()
+    start = None
+    for k in tuning.rolling_origins(y.size, h, 4):
+        basis = spectral.spectral_basis(k, q)
+        z = hsc.auto_zeta(x[:k], h) if zeta == "auto" else zeta
+        solution, _ = hsc.fit_path(y[:k], x[:k], basis, grid, z * z * k, init=start)
+        weights, problems = reference_fit_path(y[:k], x[:k], basis, grid, z * z * k)
+        np.testing.assert_allclose(solution.weights, weights, rtol=0.0, atol=1e-10)
+        for g, problem in enumerate(problems):
+            grad = problem.evaluate(solution.weights[g])[1]
+            target = 1e-10 * (1.0 + np.linalg.norm(grad) / problem.scale)
+            assert solution.kkt_residual[g] <= target
+        start = solution.weights
 
 
 def test_fit_rejects_overflowing_levels_by_name():

@@ -67,6 +67,15 @@ def svd_face_solve(problem, idx):
     return sol[:m]
 
 
+def face_solve(problem, idx):
+    """The solver's face solve of one program on the face ``idx``."""
+    face = np.zeros(problem.linear.size, dtype=bool)
+    face[idx] = True
+    return qp._face_solve(
+        problem.gram[None], problem.linear[None], problem.ridge, np.array([0]), face[None]
+    )[0, idx]
+
+
 # ------------------------------------------------------------------ build
 
 def test_build_matches_direct_evaluation():
@@ -207,6 +216,50 @@ def test_objective_monotone_along_iterations(seed, n_obs, n_donors, ridge, keep)
     assert np.all(diffs <= 1e-12 * (1.0 + np.abs(trace[:-1])))
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 8),
+    n_donors=st.integers(2, 12),
+    ridge=st.sampled_from([0.0, 0.3]),
+    duplicate=st.booleans(),
+    singular=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_mixed_stacks_match_each_program_alone(
+    seed, count, n_donors, ridge, duplicate, singular
+):
+    # Every program of a stack runs its own course: it is certified and
+    # lands where it lands alone, whatever else the stack holds.  A face
+    # singular in floating point (identical donors at a level where the
+    # ridge is below the gram's rounding) makes LAPACK reject the whole
+    # batch, which least squares then solves without disturbing the rest.
+    rng = np.random.default_rng(seed)
+    programs = []
+    for _ in range(count):
+        x = rng.normal(size=(n_donors + 3, n_donors)).cumsum(axis=0)
+        if duplicate:
+            x[:, -1] = x[:, 0]
+        y = x @ rng.dirichlet(np.full(n_donors, 0.5)) + rng.normal(size=n_donors + 3)
+        programs.append(qp.build(y, x, ridge))
+    if singular:
+        programs[rng.integers(count)] = qp.SimplexQP(
+            gram=np.full((n_donors, n_donors), 1e20), linear=np.full(n_donors, -1e20),
+            offset=1e20, ridge=ridge,
+        )
+    stack = qp.SimplexQP(
+        gram=np.stack([p.gram for p in programs]),
+        linear=np.stack([p.linear for p in programs]),
+        offset=np.array([p.offset for p in programs]),
+        ridge=ridge,
+    )
+    stacked = qp.solve(stack)
+    for g, problem in enumerate(programs):
+        alone = qp.solve(problem)
+        np.testing.assert_allclose(stacked.weights[g], alone.weights, rtol=0.0, atol=1e-10)
+        grad = problem.evaluate(stacked.weights[g])[1]
+        assert stacked.kkt_residual[g] <= 1e-10 * (1.0 + np.linalg.norm(grad) / problem.scale)
+
+
 def test_donor_permutation_equivariance():
     rng = np.random.default_rng(31)
     c = rng.normal(size=(15, 15))
@@ -267,7 +320,7 @@ def test_face_solve_matches_svd_oracle(seed, scale):
     problem = qp.build(scale * (c @ y), scale * (c @ x), ridge=0.3 * scale**2)
     for size in (1, 5, 12):
         idx = np.sort(rng.choice(12, size=size, replace=False))
-        w = qp._face_solve(problem, idx)
+        w = face_solve(problem, idx)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(
             w, svd_face_solve(problem, idx), rtol=0.0,
@@ -285,7 +338,7 @@ def test_zero_ridge_face_solve_matches_svd_oracle(scale):
     y = x @ rng.dirichlet(np.ones(12)) + rng.normal(size=30)
     problem = qp.build(scale * y, scale * x, ridge=0.0)
     for idx in (np.array([2]), np.array([0, 4, 7, 9]), np.arange(12)):
-        w = qp._face_solve(problem, idx)
+        w = face_solve(problem, idx)
         assert w.sum() == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(
             w, svd_face_solve(problem, idx), rtol=0.0,
@@ -345,7 +398,7 @@ def test_numerically_singular_ridge_face_falls_back_to_lstsq(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
     np.testing.assert_allclose(
-        qp._face_solve(problem, np.arange(3)), np.full(3, 1.0 / 3.0), atol=1e-12
+        face_solve(problem, np.arange(3)), np.full(3, 1.0 / 3.0), atol=1e-12
     )
     assert lstsq_calls
     sol = qp.solve(problem)
@@ -377,9 +430,9 @@ def test_blocked_ratio_step_moves_on_the_support_face(monkeypatch):
     start = np.array([0.0, 0.12, 0.0, 0.0, 0.07, 0.14, 0.0, 0.07, 0.6])
     real_step, faces = qp._ratio_step, []
 
-    def recording_step(problem, x, face):
-        step = real_step(problem, x, face)
-        faces.append((np.nonzero(face)[0].tolist(), step is None))
+    def recording_step(*args):
+        step = real_step(*args)
+        faces.append((np.nonzero(args[-1])[0].tolist(), step is None))
         return step
 
     monkeypatch.setattr(qp, "_ratio_step", recording_step)
@@ -476,6 +529,28 @@ def test_stall_raises_with_best_iterate():
     assert best.objective == pytest.approx(problem.evaluate(best.weights)[0], rel=1e-12)
     assert np.isfinite(best.objective)
     assert np.isfinite(best.kkt_residual)
+
+
+def test_stall_in_a_stack_attaches_every_program():
+    # An unreachable tolerance stalls every program of a stack; the stall
+    # names one and carries each program's best point, on the simplex.
+    programs = [random_instance(71 + s, n_obs=40, n_donors=10) for s in range(3)]
+    stack = qp.SimplexQP(
+        gram=np.stack([p.gram for p in programs]),
+        linear=np.stack([p.linear for p in programs]),
+        offset=np.array([p.offset for p in programs]),
+        ridge=0.0,
+    )
+    with pytest.raises(ValueError, match="init must be a point of the 10-weight"):
+        qp.solve(stack, init=np.full(10, 0.1))  # one start for three programs
+    with pytest.raises(qp.SolverStall, match="in program 0 of 3") as excinfo:
+        qp.solve(stack, tol=0.0)
+    best = excinfo.value.solution
+    assert best.weights.shape == (3, 10)
+    np.testing.assert_allclose(best.weights.sum(axis=1), 1.0, atol=1e-10)
+    np.testing.assert_allclose(best.objective, stack.evaluate(best.weights)[0], rtol=1e-12)
+    assert np.all(np.isfinite(best.kkt_residual))
+    assert isinstance(best.iterations, int)
 
 
 def test_opening_polish_finishes_the_run():

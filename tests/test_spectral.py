@@ -160,6 +160,13 @@ for t0 in (80, 200):
     report = decomp.decompose(latent, q=2, rule_kind="ar")
     for value in vars(report).values():
         digest.update(np.asarray(value).tobytes())
+# A grid-design study: every fold's stack of weight programs starts from the
+# previous fold's weights, so the rho-hat samples and errors carry that chain.
+cfg = mc.GridDgpConfig(kappa=2.0, rho_u=0.5, master_seed=4, t0=60, t_post=5, n0=30)
+table = mc.run_study("grid", cfg, ("hsc:1:last_constant", "sdid"), reps=3, threads=1)
+digest.update(table.rho_hat_samples["hsc:1:last_constant"].tobytes())
+for errors in table.errors.values():
+    digest.update(errors.tobytes())
 print(digest.hexdigest())
 """
 

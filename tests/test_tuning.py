@@ -221,7 +221,7 @@ def counting_solve(monkeypatch):
     real_solve = qp.solve
 
     def solve(problem, *args, **kwargs):
-        calls.append(problem.n)
+        calls.append(problem.gram.shape)
         return real_solve(problem, *args, **kwargs)
 
     monkeypatch.setattr(qp, "solve", solve)
@@ -230,14 +230,15 @@ def counting_solve(monkeypatch):
 
 def test_rules_of_one_q_share_each_weight_solve(monkeypatch):
     # Weights depend on (q, fold, rho) only: three candidates over two
-    # orders solve folds x grid x 2 programs, and sharing them leaves every
-    # candidate's errors exactly as in a run of that candidate alone.
+    # orders solve one stack of grid-size programs per (q, fold), and
+    # sharing them leaves every candidate's errors exactly as in a run of
+    # that candidate alone.
     rng = np.random.default_rng(41)
     y_pre, x_pre, _, _ = random_panel(rng, t0=30, n_donors=8, noise=0.3)
     plan = shared_plan()
     calls = counting_solve(monkeypatch)
     result = tuning.cross_validate(y_pre, x_pre, plan)
-    assert len(calls) == plan.folds * plan.rho_grid.size * 2
+    assert calls == [(plan.rho_grid.size, 8, 8)] * (plan.folds * 2)
     for ci, cand in enumerate(plan.candidates):
         alone = tuning.cross_validate(y_pre, x_pre, shared_plan((cand,)))
         row = result.per_fold_errors[ci]
@@ -273,6 +274,63 @@ def test_weight_stall_excludes_every_rule_of_that_q(monkeypatch):
     assert np.all(np.isnan(result.table[:2]))
     assert np.all(np.isfinite(result.table[2]))
     assert result.best_candidate == (2, "ar")
+
+
+def test_each_fold_starts_from_the_previous_folds_weights(monkeypatch):
+    # Per q, the first fold starts from the uniform vector and every later
+    # fold from the weights the previous fold of that q returned.
+    rng = np.random.default_rng(45)
+    y_pre, x_pre, _, _ = random_panel(rng, t0=30, n_donors=8, noise=0.3)
+    real_fit_path, calls = hsc.fit_path, []
+
+    def fit_path(y, x, basis, grid, ridge, init=None):
+        solution, smooth = real_fit_path(y, x, basis, grid, ridge, init=init)
+        calls.append((basis.q, init, solution.weights))
+        return solution, smooth
+
+    monkeypatch.setattr(hsc, "fit_path", fit_path)
+    plan = shared_plan()
+    tuning.cross_validate(y_pre, x_pre, plan)
+    for q in (1, 2):
+        chain = [(init, weights) for order, init, weights in calls if order == q]
+        assert len(chain) == plan.folds and chain[0][0] is None
+        for (_, previous), (init, _) in zip(chain, chain[1:]):
+            assert init is previous
+
+
+@pytest.mark.parametrize("error", [ValueError("shape bug"), IndexError("index bug")])
+def test_bugs_in_the_weight_path_propagate(monkeypatch, error):
+    # Only numerical failures of the weights exclude candidates; a bare
+    # ValueError or an IndexError from the stacked solve is a bug.
+    rng = np.random.default_rng(47)
+    y_pre, x_pre, _, _ = random_panel(rng, t0=24, n_donors=4)
+
+    def fit_path(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(hsc, "fit_path", fit_path)
+    with pytest.raises(type(error), match=str(error)):
+        tuning.cross_validate(y_pre, x_pre, tuning.CvPlan(h=1, folds=3))
+
+
+def test_short_first_window_excludes_its_order_before_any_solve(monkeypatch):
+    # Origins 3..6: the first window fits q=1 (3 >= q+2) but not q=2, whose
+    # candidates are excluded by name without a weight solve.
+    rng = np.random.default_rng(53)
+    y_pre, x_pre, _, _ = random_panel(rng, t0=8, n_donors=3)
+    plan = tuning.CvPlan(
+        h=2, folds=4, rho_grid=np.linspace(0, 1, 5),
+        candidates=((1, "last_constant"), (2, "last_constant"), (2, "ar")),
+    )
+    calls = counting_solve(monkeypatch)
+    result = tuning.cross_validate(y_pre, x_pre, plan)
+    assert result.origins == (3, 4, 5, 6)
+    reason = "3-period first training window; q=2 needs 4"
+    assert result.excluded == (
+        ((2, "last_constant"), 3, reason), ((2, "ar"), 3, reason)
+    )
+    assert calls == [(5, 3, 3)] * plan.folds
+    assert result.best_candidate == (1, "last_constant")
 
 
 def test_errors_nonnegative_and_table_is_their_mean():
