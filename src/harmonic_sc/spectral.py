@@ -12,9 +12,12 @@ with exact endpoint branches ``S=I, W=K_q`` at rho=0 and ``S=P0,
 W=I-P0`` at rho=1 (P0 projects onto the penalty's null space: constants for
 q=1, constants plus linear trends for q=2).
 
-Eigendecomposition runs through LAPACK (``numpy.linalg.eigh``) for q=1 and
-q=2 alike; bases are cached per (length, order) since they are
-data-independent.
+For q=1 the eigenpairs are known exactly: ``K_1`` is the path-graph
+(Neumann) second-difference matrix, whose eigenvectors are the DCT-II
+cosines ``v_k(t) ~ cos(pi*k*(t+1/2)/n)`` with eigenvalues
+``4*sin(pi*k/(2n))**2`` (Strang 1999, "The Discrete Cosine Transform").  q=2
+has no closed form and runs through LAPACK (``numpy.linalg.eigh``).  Bases
+are cached per (length, order) since they are data-independent.
 """
 
 from __future__ import annotations
@@ -80,39 +83,61 @@ class SpectralBasis:
         return np.asarray(r, dtype=float) - self.project_null(r)
 
 
+def _cosine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of the size-n order-1 penalty.
+
+    Entry (t, k) is ``cos(pi*k*(2t+1)/(2n))``, scaled to unit norm.  The
+    argument is reduced exactly in integers: ``k*(2t+1) mod 4n`` indexes a
+    table of the 4n values ``cos(pi*j/(2n))``, so every entry is accurate to
+    rounding whatever n, and the constant column is exact.
+    """
+    k = np.arange(n)
+    table = np.cos(np.pi * np.arange(4 * n) / (2 * n))
+    norm = np.full(n, np.sqrt(2.0 / n))
+    norm[0] = 1.0 / np.sqrt(n)
+    vecs = table[np.outer(2 * k + 1, k) % (4 * n)] * norm
+    return 4.0 * np.sin(np.pi * k / (2 * n)) ** 2, vecs
+
+
 def eigendecompose(k: np.ndarray, q: int) -> SpectralBasis:
     """Spectral basis of a penalty matrix, with null-space separation checks.
 
     ``k`` must be an order-q difference penalty, whose null space is the
-    polynomials of degree < q.  LAPACK fixes that null space only to about
-    eps*|k|/mu_q, where mu_q is the smallest nonzero eigenvalue (3e-7 for
-    q=2 at n=200, where a linear trend then leaks 2e-6 through P0).  So the
-    computed null vectors are replaced by the exact orthonormal polynomials
-    and their component is taken out of the other eigenvectors.  That step
-    uses elementwise sums only, so the bytes do not depend on the BLAS
-    thread count.
+    polynomials of degree < q.  For q=1 the basis is the closed-form cosine
+    basis (:func:`_cosine_basis`), which does not read ``k``; it is verified
+    against ``k`` by its residual ``max|k V - V diag(mu)|``.  For q=2 LAPACK
+    fixes the null space only to about eps*|k|/mu_q, where mu_q is the
+    smallest nonzero eigenvalue (3e-7 at n=200, where a linear trend then
+    leaks 2e-6 through P0).  So the computed null vectors are replaced by the
+    exact orthonormal polynomials and their component is taken out of the
+    other eigenvectors.  That step uses elementwise sums only, so the bytes
+    do not depend on the BLAS thread count.
 
     Raises
     ------
     EigenSolverError
         If LAPACK reports a failure to converge, if the eigenvector matrix
-        loses orthonormality, or if the spectrum does not separate cleanly
+        loses orthonormality, if the spectrum does not separate cleanly
         into q null eigenvalues below the relative threshold and n-q
         eigenvalues above it, with the polynomials of degree < q in the
-        null space.
+        null space, or if the q=1 residual exceeds ``1e-10 * max|k|``
+        (``k`` is not the order-1 penalty).
     """
     q = _check_order(q)
     k = np.asarray(k, dtype=float)
     n = k.shape[0]
-    try:
-        eigvals, vecs = np.linalg.eigh(k)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(
-            f"eigh failed on the n={n} order-{q} penalty: {exc}"
-        ) from exc
-    order = np.argsort(eigvals, kind="stable")
-    eigvals = eigvals[order]
-    vecs = vecs[:, order]
+    if q == 1:
+        eigvals, vecs = _cosine_basis(n)
+    else:
+        try:
+            eigvals, vecs = np.linalg.eigh(k)
+        except np.linalg.LinAlgError as exc:
+            raise EigenSolverError(
+                f"eigh failed on the n={n} order-{q} penalty: {exc}"
+            ) from exc
+        order = np.argsort(eigvals, kind="stable")
+        eigvals = eigvals[order]
+        vecs = vecs[:, order]
 
     t = np.arange(n, dtype=float) - (n - 1) / 2.0
     null = np.column_stack([np.ones(n), t])[:, :q]
@@ -126,10 +151,18 @@ def eigendecompose(k: np.ndarray, q: int) -> SpectralBasis:
             f"{eigvals[: q + 2]}, polynomial residual {null_resid:.3e}"
         )
 
-    rest = vecs[:, q:]
-    for col in null.T:
-        rest = rest - np.outer(col, np.sum(col[:, None] * rest, axis=0))
-    vecs = np.hstack([null, rest])
+    if q == 1:
+        resid = np.max(np.abs(k @ vecs - vecs * eigvals))
+        if resid > 1e-10 * np.max(np.abs(k)):
+            raise EigenSolverError(
+                f"cosine basis residual max|kV - V diag(mu)| = {resid:.3e} "
+                f"exceeds 1e-10 * max|k|: k is not the n={n} order-1 penalty"
+            )
+    else:
+        rest = vecs[:, q:]
+        for col in null.T:
+            rest = rest - np.outer(col, np.sum(col[:, None] * rest, axis=0))
+        vecs = np.hstack([null, rest])
     ortho_err = np.max(np.abs(vecs.T @ vecs - np.eye(n)))
     if ortho_err > 1e-10:
         raise EigenSolverError(

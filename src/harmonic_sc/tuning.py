@@ -96,6 +96,8 @@ class CvPlan:
         grid = np.asarray(self.rho_grid, dtype=float)
         if grid.ndim != 1 or grid.size < 1:
             raise ValueError("rho_grid must be a nonempty vector")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError(f"rho_grid values must be finite, got {grid}")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("rho_grid must be strictly increasing")
         if grid[0] < 0.0 or grid[-1] > 1.0:

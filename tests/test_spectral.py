@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonic_sc import spectral
+from harmonic_sc import forecast, hsc, spectral, tuning
 
 # Grid used by the error-decomposition studies; PSD must hold on all of it.
 RHO_GRID = [0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
@@ -126,14 +126,109 @@ def test_eigendecompose_detects_wrong_null_dimension():
         spectral.eigendecompose(k, 2)
 
 
-def test_eigendecompose_wraps_lapack_failure(monkeypatch):
-    def failing_eigh(a):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+def _failing_eigh(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+
+def test_eigendecompose_wraps_lapack_failure(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", _failing_eigh)
     with pytest.raises(spectral.EigenSolverError, match="eigh failed") as info:
-        spectral.eigendecompose(spectral.penalty_matrix(10, 1), 1)
+        spectral.eigendecompose(spectral.penalty_matrix(10, 2), 2)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+# ------------------------------------------- closed form against LAPACK
+
+CLOSED_FORM_SIZES = [2, 3, 4, 5, 17, 68, 75, 80, 99, 100, 200, 301]
+
+
+def reference_q1_basis(n):
+    """The order-1 basis as LAPACK gives it: ``eigh`` of the penalty, with
+    the exact constant vector in the null column and its component taken
+    out of the other columns."""
+    vals, vecs = np.linalg.eigh(spectral.penalty_matrix(n, 1))
+    null = np.full(n, 1.0 / np.sqrt(n))
+    rest = vecs[:, 1:] - np.outer(null, null @ vecs[:, 1:])
+    vals[0] = 0.0
+    return spectral.SpectralBasis(
+        n=n, q=1, eigenvalues=vals, eigenvectors=np.column_stack([null, rest])
+    )
+
+
+@pytest.mark.parametrize("n", CLOSED_FORM_SIZES)
+def test_q1_closed_form_matches_lapack(n):
+    k = spectral.penalty_matrix(n, 1)
+    b = spectral.eigendecompose(k, 1)
+    v, mu = b.eigenvectors, b.eigenvalues
+    np.testing.assert_allclose(mu, np.linalg.eigvalsh(k), rtol=0, atol=1e-12)
+    assert mu[0] == 0.0 and np.all(np.diff(mu) > 0)
+    assert np.max(np.abs(k @ v - v * mu)) <= 1e-13
+    assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-13
+
+    ref = reference_q1_basis(n)
+    r = np.random.default_rng(n).normal(size=(n, 3))
+    np.testing.assert_allclose(b.project_null(r), ref.project_null(r), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(b.project_perp(r), ref.project_perp(r), rtol=0, atol=1e-13)
+
+
+def test_q1_cosines_accurate_to_rounding():
+    # The argument k*(2t+1) is reduced mod 4n before the cosine, so the
+    # error stays at the rounding of arguments below 2*pi.  A direct
+    # cos(pi*k*(2t+1)/(2n)) errs by the rounding of its argument, up to
+    # pi*n: 1.7e-14 here after normalization.
+    n = 500
+    v = spectral.eigendecompose(spectral.penalty_matrix(n, 1), 1).eigenvectors
+    j = np.outer(2 * np.arange(n) + 1, np.arange(n)) % (4 * n)
+    ref = np.cos(np.arccos(np.longdouble(-1.0)) * j / (2 * n))
+    ref[:, 0] /= np.sqrt(np.longdouble(n))
+    ref[:, 1:] *= np.sqrt(np.longdouble(2.0) / n)
+    assert np.max(np.abs(v - ref)) < 2e-16
+
+
+def test_q1_builds_without_lapack(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", _failing_eigh)
+    for n in (17, 80):
+        basis = spectral.eigendecompose(spectral.penalty_matrix(n, 1), 1)
+        assert basis.eigenvectors.shape == (n, n)
+        with pytest.raises(spectral.EigenSolverError, match="eigh failed"):
+            spectral.eigendecompose(spectral.penalty_matrix(n, 2), 2)
+
+
+def test_q1_closed_form_rejects_other_matrices():
+    # The cosine basis does not read k; only the residual check ties it to
+    # k.  Twice the penalty shares its null space and its eigenvectors.
+    with pytest.raises(spectral.EigenSolverError, match="residual"):
+        spectral.eigendecompose(2 * spectral.penalty_matrix(40, 1), 1)
+
+
+def _applied_panel(seed):
+    """``perfbench/workloads.applied_panel``: the applied benchmark's panel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+    return workloads.applied_panel(seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_q1_closed_form_downstream_matches_lapack_basis(seed, monkeypatch):
+    panel = _applied_panel(seed)
+    y, x = panel["y_pre"], panel["x_pre"]
+    t0, grid = y.size, tuning.uniform_grid()
+    for ridge in (0.0, hsc.auto_zeta(x, 4) ** 2 * t0):
+        sol, smooth = hsc.fit_path(y, x, spectral.spectral_basis(t0, 1), grid, ridge)
+        ref_sol, ref_smooth = hsc.fit_path(y, x, reference_q1_basis(t0), grid, ridge)
+        np.testing.assert_allclose(sol.weights, ref_sol.weights, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(smooth, ref_smooth, rtol=0, atol=1e-10)
+
+    plan = tuning.CvPlan(
+        h=4, folds=8, candidates=tuple((1, kind) for kind in forecast.RULE_KINDS)
+    )
+    result = tuning.cross_validate(y, x, plan)
+    monkeypatch.setattr(spectral, "spectral_basis", lambda n, q: reference_q1_basis(n))
+    ref = tuning.cross_validate(y, x, plan)
+    assert result.best_candidate == ref.best_candidate
+    assert result.best_rho == ref.best_rho
+    assert result.excluded == ref.excluded
 
 
 _BASIS_BYTES_SCRIPT = """

@@ -100,6 +100,14 @@ def test_plan_rejects_bad_grids():
         tuning.CvPlan(rho_grid=np.array([0.0, 1.5]))
 
 
+@pytest.mark.parametrize("grid", [[np.nan], [0.0, np.nan, 1.0]])
+def test_plan_rejects_nan_grid(grid):
+    # Every comparison with NaN is False, so the order and range checks
+    # alone let a NaN through to the first fold's solve.
+    with pytest.raises(ValueError, match="rho_grid values must be finite"):
+        tuning.CvPlan(rho_grid=np.array(grid))
+
+
 def test_plan_rejects_bad_candidates():
     with pytest.raises(ValueError, match="unknown forecast rule"):
         tuning.CvPlan(candidates=((1, "holt_winters"),))
