@@ -13,7 +13,7 @@ The two add up to the realized error path.  On top of the split, each
 channel of the weight gap gets a computable bound (``channels``), which
 multiplies out to an envelope on the weight-gap term itself.
 
-``decompose`` runs the rho grid as one stack (see there); the single-fit
+``decompose`` runs a replication in one pass (see there); the single-fit
 entry points (``ab_decompose``, ``gradient_channels``, ``channels``) run
 the same code on a grid of one.
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import forecast, hsc, spectral
+from . import forecast, hsc, qp, spectral
 from .panel import PrePostView, check_levels
 
 __all__ = [
@@ -126,8 +126,11 @@ def oracle_weights(latent: LatentPanel, q: int, zeta: float) -> np.ndarray:
 
     Runs the same ridge-penalized simplex program as the estimator at
     ``rho = 1``, but on the systematic component only, so the weights are
-    untouched by the idiosyncratic part.
+    untouched by the idiosyncratic part.  ``zeta`` must be finite and
+    nonnegative.
     """
+    if isinstance(zeta, str) or not np.isfinite(zeta) or zeta < 0:
+        raise ValueError(f"zeta must be a finite nonnegative number, got {zeta!r}")
     basis = spectral.spectral_basis(latent.t0, q)
     sig = latent.signal[: latent.t0]
     ridge = zeta * zeta * latent.t0
@@ -147,8 +150,9 @@ class _OracleParts:
     eta_post: np.ndarray  # r_post minus the null continuation
 
 
-def _oracle_parts(latent: LatentPanel, q: int, zeta: float) -> _OracleParts:
-    w = oracle_weights(latent, q, zeta)
+def _oracle_parts(
+    latent: LatentPanel, basis: spectral.SpectralBasis, w: np.ndarray
+) -> _OracleParts:
     t0 = latent.t0
     sig, rem = latent.signal, latent.remainder
     e_signal = sig[:t0, 0] - sig[:t0, 1:] @ w
@@ -156,10 +160,9 @@ def _oracle_parts(latent: LatentPanel, q: int, zeta: float) -> _OracleParts:
     view = latent.to_view()
     r_pre = view.y_pre - view.x_pre @ w
     r_post = view.y_post - view.x_post @ w
-    basis = spectral.spectral_basis(t0, q)
     null_part = basis.project_null(r_pre)
     eta_pre = r_pre - null_part
-    eta_post = r_post - forecast.null_continuation(null_part, q, latent.t_post)
+    eta_post = r_post - forecast.null_continuation(null_part, basis.q, latent.t_post)
     return _OracleParts(
         weights=w,
         e_signal=e_signal,
@@ -171,32 +174,31 @@ def _oracle_parts(latent: LatentPanel, q: int, zeta: float) -> _OracleParts:
     )
 
 
-def _forecast_maps(
+def _forecasts(
     forecaster: forecast.ComposedForecaster,
     basis: spectral.SpectralBasis,
     shrink: np.ndarray,
     horizon: int,
-) -> np.ndarray:
-    """Linear parts ``pi`` (G, h, n) of path -> forecast-of-smoothed-path.
+    *paths: np.ndarray,
+) -> tuple[np.ndarray, list]:
+    """Forecast maps ``pi`` (G, h, n) and each grid point's own forecasts.
 
     Grid point g smooths with the gains ``shrink[g]`` and forecasts with
     rule g of ``forecaster`` (its only rule, for a grid of one).  With its
-    coefficients frozen the forecaster is affine, so its linear part is its
-    action on the identity, as one stack, minus its value at zero; times
-    ``V diag(s_g) V'`` that is ``pi[g]``.
+    coefficients frozen the forecaster is affine, so one application to
+    ``[0 | I | *paths]`` gives its value at zero, its action on the identity
+    and every path's forecast.  The linear part (identity minus zero) times
+    ``V diag(s_g) V'`` is ``pi[g]``; column g of each stack in ``paths``
+    (n, G), forecast by rule g, is row g of its (G, h) forecasts.
     """
+    n, g = basis.n, shrink.shape[0]
     v = basis.eigenvectors
-    offset = forecaster.apply(np.zeros(basis.n), horizon).reshape(-1, horizon, 1)
-    linear = forecaster.apply(np.eye(basis.n), horizon).reshape(-1, horizon, basis.n)
-    return ((linear - offset) @ v * shrink[:, None, :]) @ v.T
-
-
-def _own_forecasts(
-    forecaster: forecast.ComposedForecaster, paths: np.ndarray, horizon: int
-) -> np.ndarray:
-    """Column g of ``paths`` (n, G) forecast by rule g: shape (G, h)."""
-    out = forecaster.apply(paths, horizon).reshape(-1, horizon, paths.shape[1])
-    return np.diagonal(out, axis1=0, axis2=2).T
+    inputs = np.column_stack([np.zeros(n), np.eye(n), *paths])
+    out = forecaster.apply(inputs, horizon).reshape(g, horizon, -1)
+    pi = ((out[:, :, 1 : n + 1] - out[:, :, :1]) @ v * shrink[:, None, :]) @ v.T
+    own = [np.diagonal(out[:, :, k : k + g], axis1=0, axis2=2).T
+           for k in range(n + 1, out.shape[2], g)]
+    return pi, own
 
 
 @dataclass(frozen=True)
@@ -223,20 +225,22 @@ def _split(
     weights: np.ndarray,
     smooth: np.ndarray,
     forecaster: forecast.ComposedForecaster,
-    pi: np.ndarray,
-) -> dict:
-    """``term_a``, ``term_b`` and ``realized_error`` along a grid, (G, h)
-    each, for the fits with weights ``weights`` (G, donors), smooth parts
-    ``smooth`` (n, G), forecast rules ``forecaster`` and maps ``pi``."""
+) -> tuple[np.ndarray, dict]:
+    """The forecast maps ``pi`` and ``term_a``, ``term_b`` and
+    ``realized_error`` along a grid, (G, h) each, for the fits with weights
+    ``weights`` (G, donors), smooth parts ``smooth`` (n, G) and forecast
+    rules ``forecaster``: one :func:`_forecasts` application."""
     view = latent.to_view()
     v = basis.eigenvectors
     smoothed = v @ (shrink.T * (v.T @ parts.r_pre)[:, None])  # S_g r_pre
+    pi, (own, own_smoothed) = _forecasts(
+        forecaster, basis, shrink, latent.t_post, smooth, smoothed
+    )
     gap = (parts.weights - weights)[:, :, None]
-    fitted = weights @ view.x_post.T + _own_forecasts(forecaster, smooth, latent.t_post)
-    return {
+    return pi, {
         "term_a": ((view.x_post - pi @ view.x_pre) @ gap)[:, :, 0],
-        "term_b": parts.r_post - _own_forecasts(forecaster, smoothed, latent.t_post),
-        "realized_error": view.y_post - fitted,
+        "term_b": parts.r_post - own_smoothed,
+        "realized_error": view.y_post - (weights @ view.x_post.T + own),
     }
 
 
@@ -250,13 +254,12 @@ def ab_decompose(latent: LatentPanel, fit: hsc.HscFit) -> AbTerms:
     if fit.weights.shape != (latent.n_donors,) or fit.r_pre.shape != (latent.t0,):
         raise ValueError("fit dimensions do not match the latent panel")
     cfg = fit.config
-    parts = _oracle_parts(latent, cfg.q, fit.zeta)
     basis = spectral.spectral_basis(latent.t0, cfg.q)
+    parts = _oracle_parts(latent, basis, oracle_weights(latent, cfg.q, fit.zeta))
     shrink, _ = spectral.path_gains(basis, (cfg.rho,))
-    pi = _forecast_maps(fit.forecaster, basis, shrink, latent.t_post)
-    split = _split(
+    _, split = _split(
         latent, parts, basis, shrink, fit.weights[None], fit.e_pre[:, None],
-        fit.forecaster, pi,
+        fit.forecaster,
     )
     return AbTerms(
         **{name: value[0] for name, value in split.items()},
@@ -296,8 +299,8 @@ def gradient_channels(
     Returned unscaled; half their negative sum is the gradient difference
     between the feasible objective and the oracle one.
     """
-    parts = _oracle_parts(latent, q, zeta)
     basis = spectral.spectral_basis(latent.t0, q)
+    parts = _oracle_parts(latent, basis, oracle_weights(latent, q, zeta))
     _, match = spectral.path_gains(basis, (rho,))
     g1, g2, g3 = _gradients(latent, basis, match, parts)
     return g1[0], g2[0], g3[0]
@@ -333,20 +336,20 @@ def _channel_bounds(
     basis: spectral.SpectralBasis,
     match: np.ndarray,
     zeta: float,
+    gram: np.ndarray,
     pi: np.ndarray,
 ) -> dict:
     """The :class:`ChannelReport` fields at each row of metric gains
-    ``match`` and forecast maps ``pi``, one (G,) array per field."""
+    ``match``, program grams ``gram`` (:func:`hsc.programs` on the observed
+    panel, exactly symmetric) and forecast maps ``pi``, one (G,) array per
+    field.  The curvature is ``gram / T0 + zeta^2 I``."""
     t0 = latent.t0
     view = latent.to_view()
     v = basis.eigenvectors
     g1, g2, g3 = _gradients(latent, basis, match, parts)
 
-    design = np.sqrt(match)[:, :, None] * (v.T @ view.x_pre)
-    q_mat = design.transpose(0, 2, 1) @ design / t0 + zeta * zeta * np.eye(
-        latent.n_donors
-    )
-    evals, evecs = np.linalg.eigh((q_mat + q_mat.transpose(0, 2, 1)) / 2.0)
+    q_mat = gram / t0 + zeta * zeta * np.eye(latent.n_donors)
+    evals, evecs = np.linalg.eigh(q_mat)
     keep = evals > 1e-12 * np.maximum(evals[:, -1:], 0.0)
     if not keep.any(axis=1).all():
         raise ValueError("curvature matrix is numerically zero; nothing to invert")
@@ -387,14 +390,16 @@ def channels(
     ``forecaster`` uses the parameter-free constant continuation.
     """
     basis = spectral.spectral_basis(latent.t0, q)
+    parts = _oracle_parts(latent, basis, oracle_weights(latent, q, zeta))
     shrink, match = spectral.path_gains(basis, (rho,))
     if forecaster is None:
         forecaster = forecast.fit_composed(
             "last_constant", basis, np.zeros(basis.n), latent.t_post
         )
-    parts = _oracle_parts(latent, q, zeta)
-    pi = _forecast_maps(forecaster, basis, shrink, latent.t_post)
-    bounds = _channel_bounds(latent, parts, basis, match, zeta, pi)
+    view = latent.to_view()
+    _, gram, _, _ = hsc.programs(view.y_pre, view.x_pre, basis, match)
+    pi, _ = _forecasts(forecaster, basis, shrink, latent.t_post)
+    bounds = _channel_bounds(latent, parts, basis, match, zeta, gram, pi)
     return ChannelReport(**{name: value[0].item() for name, value in bounds.items()})
 
 
@@ -442,9 +447,12 @@ def decompose(
     The ridge level is resolved once up front (the data-driven default uses
     the observed donor block) and shared by every grid point and by the
     oracle, so differences along the grid isolate the smoothing level.  The
-    grid is one computation: one :func:`hsc.fit_path` stack, one forecaster
-    fitted on the stack of smooth parts (one rule per rho), and the split
-    and channel bounds with a leading grid axis.
+    replication is one pass: the grid's programs on the observed panel and
+    the oracle's (rho = 1 on the signal panel, same basis and ridge), both
+    from :func:`hsc.programs`, solve as one :func:`qp.solve` stack; one
+    forecaster is fitted on the stack of smooth parts (one rule per rho)
+    and applied once (:func:`_forecasts`); the split and channel bounds
+    carry a leading grid axis, the curvature taken from the programs' grams.
     """
     hsc.HscConfig(rho=0.0, q=q, rule_kind=rule_kind, zeta=zeta)  # checks q, rule, zeta
     if latent.t0 < q + 2:
@@ -461,14 +469,21 @@ def decompose(
     view = latent.to_view()
     zeta_val = hsc.auto_zeta(view.x_pre, view.t_post) if zeta == "auto" else float(zeta)
 
-    parts = _oracle_parts(latent, q, zeta_val)
-    solution, smooth = hsc.fit_path(
-        view.y_pre, view.x_pre, basis, grid, zeta_val * zeta_val * latent.t0
+    sig = latent.signal[: latent.t0]
+    u, *grid_program = hsc.programs(view.y_pre, view.x_pre, basis, match)
+    _, *oracle_program = hsc.programs(
+        sig[:, 0], sig[:, 1:], basis, spectral.path_gains(basis, (1.0,))[1]
     )
-    weights = solution.weights
+    problem = qp.SimplexQP(
+        *map(np.concatenate, zip(grid_program, oracle_program)),
+        ridge=zeta_val * zeta_val * latent.t0,
+    )
+    solution = qp.solve(problem)
+    weights = solution.weights[:-1]
+    parts = _oracle_parts(latent, basis, solution.weights[-1])
+    smooth = hsc.smooth_parts(basis, u, shrink, weights)
     forecaster = forecast.fit_composed(rule_kind, basis, smooth, latent.t_post)
-    pi = _forecast_maps(forecaster, basis, shrink, latent.t_post)
-    split = _split(latent, parts, basis, shrink, weights, smooth, forecaster, pi)
+    pi, split = _split(latent, parts, basis, shrink, weights, smooth, forecaster)
     return DecompReport(
         rho_grid=grid,
         q=q,
@@ -482,5 +497,7 @@ def decompose(
         weights=weights,
         rmse=np.sqrt(np.mean(split["realized_error"] ** 2, axis=1)),
         **split,
-        **_channel_bounds(latent, parts, basis, match, zeta_val, pi),
+        **_channel_bounds(
+            latent, parts, basis, match, zeta_val, problem.gram[:-1], pi
+        ),
     )

@@ -15,13 +15,14 @@ forecast rule:
 
 Everything here works in the penalty eigenbasis, so the smoother and metric
 are diagonal rescalings; no T0 x T0 system is ever solved per candidate rho.
-:func:`fit_path` is the one weight path: it assembles the profiled program
-of every rho of a grid in one batched product, solves them as one stack of
-simplex QPs, and returns the weights and smooth parts as arrays (one row,
-respectively column, per rho); :func:`fit` and the oracle weights (one
-rho), the grid sweep of ``decomp.decompose`` and the cross-validation of
-``tuning`` (each fold started from the previous fold's weights) all go
-through it.
+:func:`programs` assembles the profiled program of every rho of a grid in
+one batched product, and :func:`fit_path` solves them as one stack of
+simplex QPs and returns the weights and smooth parts (:func:`smooth_parts`)
+as arrays (one row, respectively column, per rho); :func:`fit` and the
+oracle weights (one rho) and the cross-validation of ``tuning`` (each fold
+started from the previous fold's weights) go through ``fit_path``, and
+``decomp.decompose`` solves its grid's programs and the oracle's as one
+stack.
 """
 
 from __future__ import annotations
@@ -108,6 +109,43 @@ def auto_zeta(x_pre: np.ndarray, t_post: int) -> float:
     return float(t_post) ** 0.25 * sigma
 
 
+def programs(
+    y: np.ndarray, x: np.ndarray, basis: spectral.SpectralBasis, match: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The profiled programs of ``y`` on ``x`` at each row of metric gains
+    ``match`` (from :func:`spectral.path_gains`).
+
+    The series enter once, as their eigen-coordinates ``U = V'[X, y]``.
+    Scaling the rows of ``U`` by sqrt(match_gains) turns the metric
+    objective into least squares, so one batched product ``A'A`` with
+    ``A = sqrt(w_g) U`` (exactly symmetric, as NumPy computes it by syrk)
+    holds every program's gram, ``-linear`` and offset.
+
+    Returns ``(U, gram, linear, offset)``, the coefficients with the leading
+    axes of ``match``: a :class:`qp.SimplexQP` stack once a ridge is added.
+    """
+    n = x.shape[1]
+    u = basis.eigenvectors.T @ np.column_stack([x, y])
+    a = np.einsum("...t,tk->...tk", np.sqrt(match), u)
+    ax, ay = a[..., :n], a[..., n]
+    gram = np.matmul(ax.swapaxes(-1, -2), ax)
+    linear = -np.matmul(ay[..., None, :], ax)[..., 0, :]
+    return u, gram, linear, np.einsum("...t,...t->...", ay, ay)
+
+
+def smooth_parts(
+    basis: spectral.SpectralBasis,
+    u: np.ndarray,
+    shrink: np.ndarray,
+    weights: np.ndarray,
+) -> np.ndarray:
+    """Smooth parts ``E[:, g] = V diag(s_g) (V'y - V'X w_g)`` (T0 x G) of the
+    residuals under weights ``weights`` (G x n), from ``U`` of
+    :func:`programs` and the smoother gains ``shrink`` (G x T0)."""
+    n = weights.shape[1]
+    return basis.eigenvectors @ (shrink.T * (u[:, n:] - u[:, :n] @ weights.T))
+
+
 def fit_path(
     y: np.ndarray,
     x: np.ndarray,
@@ -118,36 +156,21 @@ def fit_path(
 ) -> tuple[qp.QPSolution, np.ndarray]:
     """Profiled donor weights and smooth residual parts along ``rho_grid``.
 
-    The series enter once, as their eigen-coordinates ``U = V'[X, y]``.
-    Scaling the rows of ``U`` by sqrt(match_gains) turns the metric
-    objective into least squares, so one batched product ``A'A`` with
-    ``A = sqrt(w_g) U`` (gains from :func:`spectral.path_gains`; exactly
-    symmetric, as NumPy computes it by syrk) holds every program's gram,
-    ``-linear`` and offset, and :func:`qp.solve` solves them as one stack
-    from ``init`` (one start per rho; the uniform vector by default).
+    The programs come from :func:`programs` and :func:`qp.solve` solves
+    them as one stack from ``init`` (one start per rho; the uniform vector
+    by default).
 
     Returns ``(solution, smooth)``: the stacked :class:`qp.QPSolution`,
     whose weights ``W`` hold one row per rho, and the smooth parts ``E``
-    (T0 x G) of the residuals, ``E[:, g] = V diag(s_g) (V'y - V'X w_g)``.
-    A scalar rho gives one program and unstacked results.
+    (T0 x G) of the residuals (:func:`smooth_parts`).  A scalar rho gives
+    one program and unstacked results.
     """
-    v = basis.eigenvectors
-    n = x.shape[1]
-    u = v.T @ np.column_stack([x, y])
+    shape = np.shape(rho_grid)
     shrink, match = spectral.path_gains(basis, rho_grid)
-    a = np.einsum("...t,tk->...tk", np.sqrt(match.reshape(*np.shape(rho_grid), -1)), u)
-    ax, ay = a[..., :n], a[..., n]
-    problem = qp.SimplexQP(
-        gram=np.matmul(ax.swapaxes(-1, -2), ax),
-        linear=-np.matmul(ay[..., None, :], ax)[..., 0, :],
-        offset=np.einsum("...t,...t->...", ay, ay),
-        ridge=float(ridge),
-    )
-    del a, ax, ay  # the (G, T0, n+1) factor is not kept through the solve
-    solution = qp.solve(problem, init=init)
-    weights = solution.weights.reshape(-1, n)
-    smooth = v @ (shrink.T * (u[:, n:] - u[:, :n] @ weights.T))
-    return solution, smooth.reshape(basis.n, *np.shape(rho_grid))
+    u, gram, linear, offset = programs(y, x, basis, match.reshape(*shape, -1))
+    solution = qp.solve(qp.SimplexQP(gram, linear, offset, float(ridge)), init=init)
+    weights = solution.weights.reshape(-1, x.shape[1])
+    return solution, smooth_parts(basis, u, shrink, weights).reshape(basis.n, *shape)
 
 
 def fit(view: PrePostView, cfg: HscConfig) -> HscFit:

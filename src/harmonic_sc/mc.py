@@ -288,11 +288,15 @@ def parse_method(token: str) -> tuple[str, int, str]:
     )
 
 
+#: Failures that count a replication as failed for its method; anything
+#: else, a bare ``ValueError`` from array code included, is a bug and
+#: propagates.
 _NUMERICAL_FAILURES = (
-    ValueError,  # forecast.ForecastError among them
     qp.SolverStall,
     spectral.EigenSolverError,
     np.linalg.LinAlgError,
+    forecast.ForecastError,
+    tuning.CvExhausted,
 )
 
 
@@ -377,8 +381,9 @@ def run_study(
     Smoothing-level selection for ``hsc:*`` tokens runs rolling-origin
     cross-validation inside every replication (horizon ``h``, ``folds``
     folds, 21-point uniform grid unless overridden).  Replications where an
-    estimator fails are excluded from that estimator's metrics and counted
-    in ``failures`` — never silently dropped.  Results are keyed by the
+    estimator fails numerically (``_NUMERICAL_FAILURES``) are excluded from
+    that estimator's metrics and counted in ``failures`` — never silently
+    dropped; any other exception propagates.  Results are keyed by the
     replication index, so the outcome is identical for any ``threads``.
     """
     if design == "grid":

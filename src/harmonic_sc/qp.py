@@ -177,13 +177,14 @@ def _face_solve(gram, linear, ridge, rows, faces) -> np.ndarray:
     """
     if ridge > 0.0:
         n = faces.shape[1]
+        mask = faces.astype(float)  # multiplies faster than the bool array
         a = gram.take(rows, axis=0)
-        a *= faces[:, :, None]
-        a *= faces[:, None, :]
+        a *= mask[:, :, None]
+        a *= mask[:, None, :]
         a.reshape(rows.size, -1)[:, :: n + 1] += np.where(faces, ridge, 1.0)
         rhs = np.empty((rows.size, n, 2))
-        rhs[..., 0] = -linear.take(rows, axis=0) * faces
-        rhs[..., 1] = faces
+        rhs[..., 0] = -linear.take(rows, axis=0) * mask
+        rhs[..., 1] = mask
         try:
             w0, v = np.linalg.solve(a, rhs).transpose(2, 0, 1)
         except np.linalg.LinAlgError:

@@ -30,6 +30,11 @@ import numpy as np
 from harmonic_sc import forecast, hsc, qp, spectral
 from harmonic_sc.panel import check_levels
 
+
+class CvExhausted(ValueError):
+    """Every candidate failed cross-validation: nothing is left to select."""
+
+
 #: Default grid: 21 equally spaced mixing weights.
 DEFAULT_GRID_SIZE = 21
 
@@ -167,7 +172,8 @@ def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResu
     ------
     ValueError
         If an input is not finite or exceeds ``panel.MAX_LEVEL``, the fold
-        layout does not fit the pre-period, or every candidate failed.
+        layout does not fit the pre-period, or every candidate failed
+        (:class:`CvExhausted`).
     """
     y_pre = np.asarray(y_pre, dtype=float)
     x_pre = np.asarray(x_pre, dtype=float)
@@ -238,7 +244,7 @@ def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResu
             best_min = row_min
     if best is None:
         detail = f"; first failure: {excluded[0][2]}" if excluded else ""
-        raise ValueError(f"every candidate failed cross-validation{detail}")
+        raise CvExhausted(f"every candidate failed cross-validation{detail}")
 
     return CvResult(
         rho_grid=grid,

@@ -154,7 +154,8 @@ def test_continuation_term_direct_form(rho):
 
 
 def materialize_map_by_columns(forecaster, metric, horizon):
-    """Oracle for ``decomp._forecast_maps``: one application per column.
+    """Oracle for the maps of ``decomp._forecasts``: one application per
+    column.
 
     The affine forecast map is pinned down by its action on each column of
     the smoother plus its value at zero.
@@ -178,7 +179,7 @@ def test_materialized_map_matches_affine_application():
         for rule in forecast.RULE_KINDS:
             cfg = hsc.HscConfig(rho=0.7, q=q, rule_kind=rule, zeta=0.3)
             fit = hsc.fit(latent.to_view(), cfg)
-            (pi,) = decomp._forecast_maps(
+            (pi,), _ = decomp._forecasts(
                 fit.forecaster, basis, metric.shrink_gains[None], latent.t_post
             )
             pi_ref, offset = materialize_map_by_columns(
@@ -454,8 +455,8 @@ def reference_decompose(latent, q, rule_kind, zeta):
     """The grid sweep one point at a time: a cold ``hsc.fit``, one map and
     one channel report per rho."""
     view = latent.to_view()
-    parts = decomp._oracle_parts(latent, q, zeta)
     basis = spectral.spectral_basis(latent.t0, q)
+    parts = decomp._oracle_parts(latent, basis, decomp.oracle_weights(latent, q, zeta))
     rows = []
     for rho in decomp.DEFAULT_RHO_GRID:
         cfg = hsc.HscConfig(rho=rho, q=q, rule_kind=rule_kind, zeta=zeta)
@@ -504,8 +505,8 @@ def test_stacked_decompose_matches_per_point_reference(q, rule):
 def test_single_fit_entries_match_per_point_reference(q, rule):
     # ab_decompose and channels run the stacked code on a grid of one.
     latent, _ = make_latent(seed=80 + q, t0=40, t_post=5)
-    parts = decomp._oracle_parts(latent, q, 0.3)
     basis = spectral.spectral_basis(latent.t0, q)
+    parts = decomp._oracle_parts(latent, basis, decomp.oracle_weights(latent, q, 0.3))
     for rho in (0.0, 0.6, 1.0):
         fit = hsc.fit(latent.to_view(), hsc.HscConfig(rho, q, rule, zeta=0.3))
         metric = spectral.rho_metric(basis, rho)
@@ -520,3 +521,94 @@ def test_single_fit_entries_match_per_point_reference(q, rule):
         bounds = reference_channel_report(latent, metric, 0.3, parts, pi)
         for name, reference in bounds.items():
             assert getattr(report, name) == pytest.approx(reference, rel=1e-10), name
+
+
+# ---------------------------------------------------------------------------
+# One-pass decomposition against its parts
+
+
+def per_part_decompose(latent, q, rule_kind, zeta, rho_grid):
+    """``decompose`` assembled from separate parts: the oracle from
+    ``oracle_weights``, the grid from its own ``fit_path`` stack, the maps
+    from separate applications to zeros and to the identity, each stack of
+    paths forecast by its own application, and the curvature from
+    ``design'design``."""
+    grid = np.asarray(rho_grid, dtype=float)
+    view = latent.to_view()
+    t0, horizon = latent.t0, latent.t_post
+    basis = spectral.spectral_basis(t0, q)
+    v = basis.eigenvectors
+    shrink, match = spectral.path_gains(basis, grid)
+    parts = decomp._oracle_parts(latent, basis, decomp.oracle_weights(latent, q, zeta))
+    solution, smooth = hsc.fit_path(
+        view.y_pre, view.x_pre, basis, grid, zeta * zeta * t0
+    )
+    weights = solution.weights
+    forecaster = forecast.fit_composed(rule_kind, basis, smooth, horizon)
+
+    def own_forecasts(paths):
+        return np.diagonal(forecaster.apply(paths, horizon), axis1=0, axis2=2).T
+
+    offset = forecaster.apply(np.zeros(basis.n), horizon)[:, :, None]
+    linear = forecaster.apply(np.eye(basis.n), horizon)
+    pi = ((linear - offset) @ v * shrink[:, None, :]) @ v.T
+    smoothed = v @ (shrink.T * (v.T @ parts.r_pre)[:, None])
+    gap = (parts.weights - weights)[:, :, None]
+    realized = view.y_post - (weights @ view.x_post.T + own_forecasts(smooth))
+    design = np.sqrt(match)[:, :, None] * (v.T @ view.x_pre)
+    gram = design.transpose(0, 2, 1) @ design
+    return dict(
+        weights=weights,
+        oracle_weights=parts.weights,
+        term_a=((view.x_post - pi @ view.x_pre) @ gap)[:, :, 0],
+        term_b=parts.r_post - own_forecasts(smoothed),
+        realized_error=realized,
+        rmse=np.sqrt(np.mean(realized**2, axis=1)),
+        **decomp._channel_bounds(latent, parts, basis, match, zeta, gram, pi),
+    )
+
+
+EXACT_FIELDS = (
+    "weights", "oracle_weights", "a1", "a2", "a3", "q_max_inv_eig", "transfer",
+    "envelope", "pseudo_inverse", "condition",
+)
+CLOSE_FIELDS = ("term_a", "term_b", "realized_error", "rmse")
+
+
+@pytest.mark.parametrize(
+    "seed, zeta, rho_grid",
+    [(seed, "auto", None) for seed in range(1, 6)]
+    + [(1, 0.0, None), (2, 0.3, [0.0, 0.45, 0.9])],
+)
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("rule", forecast.RULE_KINDS)
+def test_one_pass_decompose_matches_per_part_reference(seed, zeta, rho_grid, q, rule):
+    latent, _ = make_latent(seed=seed, t0=40, t_post=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # nonstationary fits
+        report = decomp.decompose(
+            latent, q=q, rule_kind=rule, zeta=zeta, rho_grid=rho_grid
+        )
+        expected = per_part_decompose(
+            latent, q, rule, report.zeta,
+            decomp.DEFAULT_RHO_GRID if rho_grid is None else rho_grid,
+        )
+    for name in EXACT_FIELDS:
+        npt.assert_array_equal(getattr(report, name), expected[name], err_msg=name)
+    for name in CLOSE_FIELDS:
+        value = expected[name]
+        npt.assert_allclose(
+            getattr(report, name), value, rtol=0.0,
+            atol=1e-13 * np.max(np.abs(value)), err_msg=name,
+        )
+
+
+@pytest.mark.parametrize("zeta", [-0.4, np.nan, np.inf, -np.inf, "auto"])
+def test_single_fit_entries_reject_bad_zeta(zeta):
+    latent, _ = make_latent(seed=90)
+    with pytest.raises(ValueError, match="^zeta must be"):
+        decomp.oracle_weights(latent, 1, zeta)
+    with pytest.raises(ValueError, match="^zeta must be"):
+        decomp.gradient_channels(latent, 0.5, 1, zeta)
+    with pytest.raises(ValueError, match="^zeta must be"):
+        decomp.channels(latent, 0.5, 1, zeta)

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from harmonic_sc import mc
+from harmonic_sc import hsc, mc
 
 
 def small_grid_cfg(**overrides):
@@ -260,6 +260,17 @@ def test_run_study_counts_failures():
     assert table.rho_hat_samples["hsc:1:hamilton"].size == 0
     assert table.failures["sc"] == 0
     assert np.isfinite(table.pooled_rmse["sc"])
+
+
+def test_run_study_propagates_bugs(monkeypatch):
+    # A bare ValueError inside a method is a programming error, not a
+    # numerical failure: it must not turn into an anonymous failure count.
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(hsc, "fit_path", broken)
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        mc.run_study(**study_kwargs(reps=1))
 
 
 def test_run_study_validates_inputs():
