@@ -19,8 +19,8 @@ parts along a rho grid, and estimates one rule per column in one pass
 and for each ``hamilton`` horizon, stacked companion eigenvalues for the
 ``ar`` stationarity check).  A forecaster fitted on a stack holds m rules
 and applies each of them to every input path, which adds a leading axis of
-length m to the forecasts; :func:`compose` takes the diagonal, each
-column's forecast by its own rule.
+length m to the forecasts; :func:`compose` splits a stack once and applies
+each rule only to its own column.
 
 A fitted rule is frozen in a :class:`ForecastRule` as an explicit affine
 operator ``matrix @ z[-p:] + offset`` on the last p values of its input
@@ -262,11 +262,6 @@ class ComposedForecaster:
         Returns (horizon,) or (horizon, k) forecasts, with a leading axis of
         length m when the forecaster holds m rules.
         """
-        r = np.asarray(r, dtype=float)
-        if r.ndim not in (1, 2) or r.shape[0] != self.basis.n:
-            raise ForecastError(
-                f"path length {r.shape} does not match basis size {self.basis.n}"
-            )
         null_part, rest = _split(self.basis, r)
         return null_continuation(null_part, self.basis.q, horizon) + apply_rule(
             self.rule, rest, horizon
@@ -274,9 +269,15 @@ class ComposedForecaster:
 
 
 def _split(basis: SpectralBasis, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Null part of each column and its remainder, zero where the remainder
-    is negligible against the column: dust is fitted and forecast as zero,
-    so every rule continues a path in the null space alike, to the bit."""
+    """Null part of each column of a path (n,) or stack (n, m) and its
+    remainder, zero where the remainder is negligible against the column:
+    dust is fitted and forecast as zero, so every rule continues a path in
+    the null space alike, to the bit."""
+    r = np.asarray(r, dtype=float)
+    if r.ndim not in (1, 2) or r.shape[0] != basis.n:
+        raise ForecastError(
+            f"path length {r.shape} does not match basis size {basis.n}"
+        )
     null_part = basis.project_null(r)
     rest = r - null_part
     return null_part, np.where(
@@ -296,12 +297,7 @@ def fit_composed(
     coefficients (and spurious nonstationarity warnings), so a column whose
     remainder is negligible against the column is fitted as exactly zero.
     """
-    r = np.asarray(r_pre, dtype=float)
-    if r.ndim not in (1, 2) or r.shape[0] != basis.n:
-        raise ForecastError(
-            f"path length {r.shape} does not match basis size {basis.n}"
-        )
-    rule = fit_rule(rule_kind, _split(basis, r)[1], horizon)
+    rule = fit_rule(rule_kind, _split(basis, r_pre)[1], horizon)
     return ComposedForecaster(rule=rule, basis=basis)
 
 
@@ -314,7 +310,10 @@ def compose(
     column gets its own rule, fitted on that column's remainder, and the
     forecasts come back as (horizon,) or (horizon, m): the
     :func:`fit_composed` forecaster applied to ``r_pre``, each column
-    forecast by its own rule.
+    forecast by its own rule only, from one split of the stack.
     """
-    out = fit_composed(rule_kind, basis, r_pre, horizon).apply(r_pre, horizon)
-    return out if out.ndim == 1 else np.diagonal(out, axis1=0, axis2=2)
+    null_part, rest = _split(basis, r_pre)
+    rule = fit_rule(rule_kind, rest, horizon)
+    tail = rest[rest.shape[0] - rule.matrix.shape[-1] :]
+    own = np.einsum("...hp,p...->h...", rule.matrix, tail) + rule.offset.T
+    return null_continuation(null_part, basis.q, horizon) + own

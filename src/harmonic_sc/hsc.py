@@ -157,8 +157,8 @@ def fit_path(
     """Profiled donor weights and smooth residual parts along ``rho_grid``.
 
     The programs come from :func:`programs` and :func:`qp.solve` solves
-    them as one stack from ``init`` (one start per rho; the uniform vector
-    by default).
+    them as one stack from ``init`` (one start per rho; by default each
+    program starts at its best vertex).
 
     Returns ``(solution, smooth)``: the stacked :class:`qp.QPSolution`,
     whose weights ``W`` hold one row per rho, and the smooth parts ``E``

@@ -17,10 +17,13 @@ stack in lockstep.  Each round solves the KKT systems of all running
 programs, each on its current face, in one batched LAPACK call; a face
 solution with negative weights drops them and is solved again (backoff).
 A good start (the previous fold's weights at the same rho) finishes most
-programs in a round.  With ``ridge > 0`` every face is positive definite;
-``ridge == 0`` faces can be flat and take a least-squares solve.  A program
-whose round lowers nothing takes the ratio step of Lawson & Hanson's inner
-loop, alone, so every round lowers its objective or ends its run.
+programs in a round; a program given none starts at its best vertex, as
+Lawson & Hanson start from the empty active set.  With ``ridge > 0`` every
+face is positive definite; ``ridge == 0`` faces are solved one at a time,
+packed to their support, by LU when a Cholesky factorization finds them
+definite and by least squares when they are flat.  A program whose round
+lowers nothing takes the ratio step of Lawson & Hanson's inner loop, alone,
+so every round lowers its objective or ends its run.
 
 Every tolerance, and the reported KKT residual, is relative to
 :attr:`SimplexQP.scale`, so data in other units solve alike (Gill, Murray &
@@ -97,12 +100,6 @@ class SimplexQP:
         object.__setattr__(self, "linear", l)
         object.__setattr__(self, "offset", o if o.ndim else float(o))
 
-    def evaluate(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        """Objective value and gradient at ``w``, one point per program (no
-        feasibility check)."""
-        return _evaluate(self.gram, self.linear, self.offset, self.ridge,
-                         np.asarray(w, dtype=float))
-
 
 @dataclass(frozen=True)
 class QPSolution:
@@ -172,8 +169,10 @@ def _face_solve(gram, linear, ridge, rows, faces) -> np.ndarray:
     exactly, and partial pivoting never mixes them in), so one LAPACK solve
     with two right-hand sides gives ``A^-1 (-linear_S)`` and ``A^-1 1`` for
     the batch; the sum constraint then fixes each multiplier.  Every
-    ``ridge == 0`` face, and a batch with a face singular in floating
-    point, is solved by :func:`_least_squares`, a face at a time.
+    ``ridge == 0`` face, and every face of a batch with a face singular in
+    floating point, is solved packed to its support by
+    :func:`_least_squares`, a face at a time, so a face of a stack is
+    solved exactly as the same face of a single program.
     """
     if ridge > 0.0:
         n = faces.shape[1]
@@ -197,22 +196,36 @@ def _face_solve(gram, linear, ridge, rows, faces) -> np.ndarray:
 
 
 def _least_squares(gram, linear, ridge, face) -> np.ndarray:
-    """One program's face solution from the bordered KKT system.
+    """One program's face solution, packed to the face.
 
-    The restricted gram of a ``ridge == 0`` program may be singular on a
-    flat face, as may ``A`` in floating point when the ridge is below the
-    gram's rounding, so ``np.linalg.lstsq`` solves the bordered system: its
-    minimum-norm solution is the face's minimum-norm point.  The border is
-    scaled to the size of ``A`` so the singular-value cutoff cannot drop it.
+    A Cholesky factorization of ``A = gram_SS + ridge I`` tests the face: a
+    definite one (its smallest squared pivot above 1e-8 of ``A``'s largest
+    diagonal entry) is solved as in the batch, by one LU solve with two
+    right-hand sides and the sum constraint.  The restricted gram of a
+    ``ridge == 0`` program may be singular on a flat face (duplicated
+    donors, more coordinates than the gram's rank), as may ``A`` in
+    floating point when the ridge is below the gram's rounding; there
+    ``np.linalg.lstsq`` solves the bordered KKT system, whose minimum-norm
+    solution is the face's minimum-norm point.  The border is scaled to the
+    size of ``A`` so the singular-value cutoff cannot drop it.
     """
     idx = np.flatnonzero(face)
     s = idx.size
-    kkt = np.zeros((s + 1, s + 1))
-    kkt[:s, :s] = gram.take(idx, axis=0).take(idx, axis=1)
-    kkt.flat[: s * (s + 1) : s + 2] += ridge
-    c = float(np.max(np.abs(kkt))) or 1.0  # any border does when A is zero
-    kkt[:s, s] = kkt[s, :s] = c
+    a = gram.take(idx, axis=0).take(idx, axis=1)
+    a.flat[:: s + 1] += ridge
     w = np.zeros(face.size)
+    try:
+        pivot = np.diagonal(np.linalg.cholesky(a)).min()
+    except np.linalg.LinAlgError:
+        pivot = 0.0
+    if pivot * pivot > 1e-8 * a.diagonal().max():
+        w0, v = np.linalg.solve(a, np.stack([-linear[idx], np.ones(s)], axis=1)).T
+        w[idx] = w0 - (w0.sum() - 1.0) / v.sum() * v
+        return w
+    kkt = np.zeros((s + 1, s + 1))
+    kkt[:s, :s] = a
+    c = float(np.max(np.abs(a))) or 1.0  # any border does when A is zero
+    kkt[:s, s] = kkt[s, :s] = c
     w[idx] = np.linalg.lstsq(kkt, np.append(-linear[idx], c), rcond=None)[0][:s]
     return w
 
@@ -262,8 +275,10 @@ def solve(
         drops below ``tol * (1 + ||gradient|| / scale)``.
     init : ndarray, optional
         A start on the simplex (nonnegative, summing to 1 within 1e-12)
-        per program, shaped like ``problem.linear``; uniform by default.
-        A nearby program's solution lands the first round on the optimum.
+        per program, shaped like ``problem.linear``.  By default each
+        program starts at its vertex of least objective, or at the uniform
+        point when its vertex values tie.  A nearby program's solution
+        lands the first round on the optimum.
     trace : list, optional
         If given, the starting objective, then the objective after every
         move, the certified point's last (for a stack, every program's).
@@ -284,8 +299,19 @@ def solve(
     scale = np.reshape(problem.scale, -1)
     ridge = problem.ridge
     stacked = problem.gram.ndim == 3
+    # The objective cancels terms of magnitude ``scale``, so differences
+    # below ``noise`` are indistinguishable from rounding; the KKT residual,
+    # not the objective, discriminates near the optimum.
+    noise = 1e-12 * scale
     if init is None:
-        x = np.full(linear.shape, 1.0 / n)
+        # The best vertex, as Lawson & Hanson start NNLS from the empty
+        # active set.  A program whose vertex values tie to rounding (a flat
+        # one, such as duplicated donors or the zero program) keeps the
+        # uniform start, which its first face solve returns.
+        vertex = np.einsum("gii->gi", gram) + 2.0 * linear
+        x = np.zeros(linear.shape)
+        x[np.arange(len(x)), vertex.argmin(axis=1)] = 1.0
+        x[np.ptp(vertex, axis=1) <= noise] = 1.0 / n
     else:
         x = np.array(init, dtype=float)
         on_simplex = (x >= 0.0).all() and (abs(x.sum(axis=-1) - 1.0) <= 1e-12).all()
@@ -295,10 +321,6 @@ def solve(
         # to: a ratio step blocked by one would barely move.
         x = np.where(x < 1e-12, 0.0, x).reshape(linear.shape)
         x /= x.sum(axis=1, keepdims=True)
-    # The objective cancels terms of magnitude ``scale``, so differences
-    # below ``noise`` are indistinguishable from rounding; the KKT residual,
-    # not the objective, discriminates near the optimum.
-    noise = 1e-12 * scale
     f, grad = _evaluate(gram, linear, offset, ridge, x)
     kkt = np.full(len(x), np.inf)
     steps = np.zeros(len(x), dtype=int)

@@ -449,3 +449,33 @@ def test_stacked_compose_keeps_the_single_path_checks():
         forecast.compose("last_constant", basis, np.zeros((11, 3)), 2)
     with pytest.raises(forecast.ForecastError, match="needs at least 11 observations"):
         forecast.compose("hamilton", basis, np.ones((10, 3)), 6)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("rule_kind", forecast.RULE_KINDS)
+def test_compose_is_the_fitted_forecasters_diagonal(rule_kind, q):
+    # compose applies each column's rule to that column alone; the
+    # forecaster fitted on the stack, applied to every column with every
+    # rule, has those forecasts on its diagonal.
+    rng = np.random.default_rng(29)
+    n = 30
+    basis = spectral_basis(n, q)
+    t = np.arange(n, dtype=float)
+    stack = np.column_stack(
+        [rng.normal(size=n).cumsum() for _ in range(4)]
+        + [3.0 - 0.5 * (q - 1) * t + 1e-14 * rng.normal(size=n), 1.15**t]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the explosive column
+        for r_pre in (stack[:, 0], stack):
+            out = forecast.compose(rule_kind, basis, r_pre, 4)
+            applied = forecast.fit_composed(rule_kind, basis, r_pre, 4).apply(r_pre, 4)
+            expected = applied if r_pre.ndim == 1 else np.diagonal(applied, axis1=0, axis2=2)
+            assert out.shape == expected.shape
+            if rule_kind == "last_constant":
+                np.testing.assert_array_equal(out, expected)
+            else:
+                # The tail terms are of the size of the path, not of its
+                # forecast.
+                scale = np.abs(r_pre).max(axis=0)
+                assert np.all(np.abs(out - expected) <= 1e-15 * scale)

@@ -281,6 +281,11 @@ def test_fit_path_rows_match_fit_at_each_rho(q):
         )
 
 
+def evaluate(problem, w):
+    """Objective value and gradient of ``problem`` at ``w``."""
+    return qp._evaluate(problem.gram, problem.linear, problem.offset, problem.ridge, w)
+
+
 def reference_fit_path(y, x, basis, rho_grid, ridge):
     """The per-program chain: one program per rho, built from the rescaled
     eigen-coordinates and solved along the grid from the previous rho's
@@ -341,7 +346,7 @@ def stack_design(design, seed):
        ("zeta = 0", 65, 1, 2, 0.0)],
 )
 def test_stacked_path_matches_per_program_chain(design, seed, q, h, zeta):
-    # Folds as cross-validation runs them: the first from the uniform start,
+    # Folds as cross-validation runs them: the first from the default start,
     # each later one from the previous fold's stacked weights.  Every
     # program is certified, and the weights match the chain's.
     y, x = stack_design(design, seed)
@@ -354,7 +359,7 @@ def test_stacked_path_matches_per_program_chain(design, seed, q, h, zeta):
         weights, problems = reference_fit_path(y[:k], x[:k], basis, grid, z * z * k)
         np.testing.assert_allclose(solution.weights, weights, rtol=0.0, atol=1e-10)
         for g, problem in enumerate(problems):
-            grad = problem.evaluate(solution.weights[g])[1]
+            grad = evaluate(problem, solution.weights[g])[1]
             target = 1e-10 * (1.0 + np.linalg.norm(grad) / problem.scale)
             assert solution.kkt_residual[g] <= target
         start = solution.weights

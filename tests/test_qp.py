@@ -1,4 +1,5 @@
 import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonic_sc import baselines, mc, qp, spectral
+from harmonic_sc.panel import PrePostView
 
 
 def random_instance(seed, n_obs=12, n_donors=4, ridge=0.0):
@@ -14,6 +16,12 @@ def random_instance(seed, n_obs=12, n_donors=4, ridge=0.0):
     y = rng.normal(size=n_obs)
     x = rng.normal(size=(n_obs, n_donors))
     return qp.build(c @ y, c @ x, ridge)
+
+
+def evaluate(problem, w):
+    """Objective value and gradient of every program of ``problem`` at ``w``."""
+    return qp._evaluate(problem.gram, problem.linear, problem.offset, problem.ridge,
+                        np.asarray(w, dtype=float))
 
 
 def brute_force_two_donors(problem, step=1e-4):
@@ -35,7 +43,7 @@ def brute_force_three_donors(problem, step=0.005):
     for w1 in np.arange(0.0, 1.0 + step / 2, step):
         for w2 in np.arange(0.0, 1.0 - w1 + step / 2, step):
             w = np.array([w1, w2, 1.0 - w1 - w2])
-            val = problem.evaluate(w)[0]
+            val = evaluate(problem, w)[0]
             if val < best_val:
                 best_w, best_val = w, val
     return best_w
@@ -46,13 +54,13 @@ def svd_face_solve(problem, idx):
 
     Solves ``[[H, c1], [c1', 0]] [w; nu/c] = [-2 linear_S; c]`` with
     ``H = 2 (gram_SS + ridge I)``, refined twice with the residual in
-    extended precision.  The border is scaled to ``c = max(1, max|H|)``:
-    left at 1, the pseudo-inverse cutoff drops the border's singular value
-    once the gram is large.
+    extended precision.  The border is scaled to ``c = max|H|`` (1 when
+    ``H`` is zero): left at 1, the pseudo-inverse cutoff drops the border's
+    singular value once the gram is large, and ``H``'s once it is small.
     """
     m = idx.size
     h = 2.0 * (problem.gram[np.ix_(idx, idx)] + problem.ridge * np.eye(m))
-    c = max(1.0, float(np.max(np.abs(h))))
+    c = float(np.max(np.abs(h))) or 1.0
     kkt = np.zeros((m + 1, m + 1))
     kkt[:m, :m] = h
     kkt[:m, m] = kkt[m, :m] = c
@@ -65,6 +73,16 @@ def svd_face_solve(problem, idx):
     for _ in range(2):
         sol = sol + pinv @ (rhs_l - kkt_l @ sol.astype(np.longdouble)).astype(float)
     return sol[:m]
+
+
+def counting_lstsq():
+    """Patch ``np.linalg.lstsq`` with a wrapper recording every call."""
+    return mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq)
+
+
+def lstsq_faces(lstsq):
+    """Face sizes of the bordered systems a patched ``lstsq`` solved."""
+    return [call.args[0].shape[0] - 1 for call in lstsq.call_args_list]
 
 
 def face_solve(problem, idx):
@@ -87,7 +105,7 @@ def test_build_matches_direct_evaluation():
     for _ in range(5):
         w = rng.dirichlet(np.ones(5))
         direct = np.sum((c @ (y - x @ w)) ** 2) + 0.7 * np.sum(w * w)
-        assert problem.evaluate(w)[0] == pytest.approx(direct, rel=1e-8)
+        assert evaluate(problem, w)[0] == pytest.approx(direct, rel=1e-8)
 
 
 def test_build_identity_metric_is_least_squares():
@@ -96,7 +114,7 @@ def test_build_identity_metric_is_least_squares():
     x = rng.normal(size=(8, 3))
     problem = qp.build(y, x, ridge=0.0)
     w = np.array([0.2, 0.5, 0.3])
-    assert problem.evaluate(w)[0] == pytest.approx(np.sum((y - x @ w) ** 2), rel=1e-10)
+    assert evaluate(problem, w)[0] == pytest.approx(np.sum((y - x @ w) ** 2), rel=1e-10)
 
 
 def test_build_vertex_objective():
@@ -109,7 +127,7 @@ def test_build_vertex_objective():
         e = np.zeros(4)
         e[j] = 1.0
         expected = np.sum((c @ (y - x[:, j])) ** 2) + 0.3
-        assert problem.evaluate(e)[0] == pytest.approx(expected, rel=1e-10)
+        assert evaluate(problem, e)[0] == pytest.approx(expected, rel=1e-10)
 
 
 def test_build_dimension_mismatch():
@@ -256,7 +274,7 @@ def test_mixed_stacks_match_each_program_alone(
     for g, problem in enumerate(programs):
         alone = qp.solve(problem)
         np.testing.assert_allclose(stacked.weights[g], alone.weights, rtol=0.0, atol=1e-10)
-        grad = problem.evaluate(stacked.weights[g])[1]
+        grad = evaluate(problem, stacked.weights[g])[1]
         assert stacked.kkt_residual[g] <= 1e-10 * (1.0 + np.linalg.norm(grad) / problem.scale)
 
 
@@ -405,6 +423,132 @@ def test_numerically_singular_ridge_face_falls_back_to_lstsq(monkeypatch):
     np.testing.assert_allclose(sol.weights, np.full(3, 1.0 / 3.0), atol=1e-12)
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 12),
+    extra=st.integers(3, 20),
+    k=st.sampled_from([-8, -4, 0, 4, 8]),
+)
+@settings(max_examples=40, deadline=None)
+def test_definite_zero_ridge_faces_match_svd_oracle(seed, size, extra, k):
+    # A face whose gram is definite is solved by LU, without least
+    # squares, at the oracle's point, whatever the data's units.
+    rng = np.random.default_rng(seed)
+    n_donors = size + 4
+    x = rng.normal(size=(size + extra, n_donors))
+    y = x @ rng.dirichlet(np.ones(n_donors)) + rng.normal(size=size + extra)
+    problem = qp.build(10.0**k * y, 10.0**k * x, ridge=0.0)
+    idx = np.sort(rng.choice(n_donors, size=size, replace=False))
+    with counting_lstsq() as lstsq:
+        w = face_solve(problem, idx)
+    assert lstsq.call_count == 0
+    np.testing.assert_allclose(
+        w, svd_face_solve(problem, idx), rtol=0.0, atol=1e-9 * (1.0 + np.max(np.abs(w)))
+    )
+
+
+def test_flat_zero_ridge_faces_fall_back_to_lstsq():
+    # Flat faces: one holding a duplicated donor, and one of an SDID
+    # time-weight program (100 periods weighted over 50 donors, so its
+    # gram has rank 49) wider than that rank.  Least squares solves each,
+    # at the minimum-norm point.
+    rng = np.random.default_rng(7)
+    x = np.cumsum(rng.normal(size=(30, 12)), axis=0)
+    x[:, 11] = x[:, 3]
+    duplicated = qp.build(x @ rng.dirichlet(np.ones(12)) + rng.normal(size=30), x, 0.0)
+    levels = 10.0 + rng.normal(size=(110, 50))
+    target, pre = levels[100:].mean(axis=0), levels[:100].T
+    sdid = qp.build(target - target.mean(), pre - pre.mean(axis=0), 0.0)
+    for problem, idx in ((duplicated, np.array([0, 3, 5, 11])),
+                         (sdid, np.arange(0, 100, 2))):
+        with counting_lstsq() as lstsq:
+            w = face_solve(problem, idx)
+        assert lstsq_faces(lstsq) == [idx.size]
+        np.testing.assert_allclose(
+            w, svd_face_solve(problem, idx), rtol=0.0,
+            atol=1e-9 * (1.0 + np.max(np.abs(w))),
+        )
+
+
+def test_cold_start_is_the_best_vertex():
+    # Without a start, a program starts at its vertex of least objective:
+    # here donor 2 reproduces the target, and the run certifies that vertex
+    # with one face solve.
+    v1 = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
+    v2 = np.array([0.0, 0.0, 1.0, -1.0, 0.0, 0.0])
+    v3 = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0])
+    trace: list = []
+    sol = qp.solve(qp.build(v3, np.stack([v1, v2, v3], axis=1), 0.0), trace=trace)
+    assert trace[0] == 0.0
+    assert sol.face_solves == 1
+    np.testing.assert_array_equal(sol.weights, [0.0, 0.0, 1.0])
+
+
+def flat_views(n_donors):
+    """Panels whose zero-ridge weight programs are flat: every series a
+    straight line (an exact fit by the trend design), every series constant
+    (an exact fit by the intercept), and every donor one series."""
+    rng = np.random.default_rng(n_donors)
+    t = np.arange(25.0)
+    lines = rng.normal(size=n_donors) + np.outer(t, rng.normal(size=n_donors))
+    constants = np.tile(rng.normal(size=n_donors), (25, 1))
+    walk = np.cumsum(rng.normal(size=25))
+    duplicated = np.column_stack([walk] * n_donors)
+    for y, x in ((2.0 + 0.3 * t, lines), (np.full(25, 4.0), constants),
+                 (walk + rng.normal(size=25), duplicated)):
+        yield PrePostView(y_pre=y[:20], x_pre=x[:20], y_post=y[20:], x_post=x[20:])
+
+
+@pytest.mark.parametrize("n_donors", [3, 5, 10])
+def test_flat_programs_keep_the_uniform_start(n_donors):
+    # A program whose vertex values all tie starts, and ends, at the
+    # uniform point: the zero program that residualizing an exactly
+    # explained series leaves, and the baselines on exact-fit and
+    # duplicated-donor panels.  Least squares' rounding is all that
+    # separates them from it.
+    zero = qp.build(np.zeros(12), np.zeros((12, n_donors)), 0.0)
+    uniform = np.full(n_donors, 1.0 / n_donors)
+    weights = [qp.solve(zero).weights]
+    np.testing.assert_array_equal(weights[0], qp.solve(zero, init=uniform).weights)
+    lines, constants, duplicated = flat_views(n_donors)
+    weights += [baselines.fit("sc_int_trend", lines).weights,
+                baselines.fit("sc_int", constants).weights]
+    weights += [baselines.fit(m, duplicated).weights
+                for m in ("sc", "sc_int", "diff_sc", "sdid")]
+    for w in weights:
+        np.testing.assert_allclose(w, uniform, rtol=0.0, atol=1e-15)
+    time_weights = baselines.fit_sdid(constants, ridge_policy=0.0).aux["time_weights"]
+    np.testing.assert_allclose(time_weights, 1.0 / 20, rtol=0.0, atol=1e-15)
+
+
+def test_zero_ridge_baselines_use_lstsq_only_on_flat_faces(monkeypatch):
+    # One grid-study panel (50 donors, 100 pre-periods): sc_int's faces are
+    # all definite, and the SDID time weights (100 periods over 50 donors,
+    # a gram of rank 49) reach least squares only on faces wider than that.
+    # From the uniform start, with least squares on every face, they took
+    # 8 and 9 face solves here; the best-vertex start costs the time
+    # weights one backoff solve on this panel, though it saves 3.2 on the
+    # mean of 40 such panels (10.2 -> 7.0).
+    cfg = mc.GridDgpConfig(kappa=2.0, rho_u=0.5, master_seed=1001, t0=100, t_post=10, n0=50)
+    view = mc.simulate_grid(cfg, 1)[1].to_view()
+    real_solve, runs = qp.solve, []
+
+    def recording_solve(problem, *args, **kwargs):
+        with counting_lstsq() as lstsq:
+            solution = real_solve(problem, *args, **kwargs)
+        runs.append((problem.gram.shape[-1], problem.ridge, solution.face_solves,
+                     lstsq_faces(lstsq)))
+        return solution
+
+    monkeypatch.setattr(qp, "solve", recording_solve)
+    baselines.fit("sc_int", view)
+    baselines.fit("sdid", view)
+    sc_int, _, time_weights = runs
+    assert sc_int[:2] == (50, 0.0) and sc_int[3] == [] and sc_int[2] <= 8
+    assert time_weights[:2] == (100, 0.0) and time_weights[2] <= 10
+    assert all(size > 49 for size in time_weights[3])
+
+
 @pytest.mark.parametrize(
     "kappa, master_seed, rep", [(0.0, 1, 6), (0.0, 1, 55), (0.0, 1, 98), (2.0, 3, 71)]
 )
@@ -416,7 +560,7 @@ def test_backoff_stalls_finish_in_a_few_ratio_steps(kappa, master_seed, rep):
     cfg = mc.GridDgpConfig(kappa=kappa, rho_u=0.0, master_seed=master_seed)
     view = mc.simulate_grid(cfg, rep)[1].to_view()
     sol = baselines.fit("sc", view).solution
-    grad = qp.build(view.y_pre, view.x_pre, 0.0).evaluate(sol.weights)[1]
+    grad = evaluate(qp.build(view.y_pre, view.x_pre, 0.0), sol.weights)[1]
     assert sol.kkt_residual <= 1e-10 * (1.0 + np.linalg.norm(grad))
     assert 1 <= sol.iterations <= 3
 
@@ -508,7 +652,7 @@ def test_solution_is_clean_simplex_point():
 def test_solution_satisfies_reported_kkt():
     problem = random_instance(61, n_donors=5, ridge=0.2)
     sol = qp.solve(problem, tol=1e-10)
-    grad = problem.evaluate(sol.weights)[1]
+    grad = evaluate(problem, sol.weights)[1]
     active = sol.weights > 0
     nu = grad[active].mean()
     resid = np.max(np.abs(grad[active] - nu))
@@ -526,7 +670,7 @@ def test_stall_raises_with_best_iterate():
     best = excinfo.value.solution
     assert best.weights.min() >= 0.0
     assert best.weights.sum() == pytest.approx(1.0, abs=1e-10)
-    assert best.objective == pytest.approx(problem.evaluate(best.weights)[0], rel=1e-12)
+    assert best.objective == pytest.approx(evaluate(problem, best.weights)[0], rel=1e-12)
     assert np.isfinite(best.objective)
     assert np.isfinite(best.kkt_residual)
 
@@ -548,7 +692,7 @@ def test_stall_in_a_stack_attaches_every_program():
     best = excinfo.value.solution
     assert best.weights.shape == (3, 10)
     np.testing.assert_allclose(best.weights.sum(axis=1), 1.0, atol=1e-10)
-    np.testing.assert_allclose(best.objective, stack.evaluate(best.weights)[0], rtol=1e-12)
+    np.testing.assert_allclose(best.objective, evaluate(stack, best.weights)[0], rtol=1e-12)
     assert np.all(np.isfinite(best.kkt_residual))
     assert isinstance(best.iterations, int)
 
@@ -557,7 +701,7 @@ def test_opening_polish_finishes_the_run():
     problem = random_instance(71, n_obs=40, n_donors=10)
     sol = qp.solve(problem)
     assert sol.iterations == 0
-    grad = problem.evaluate(sol.weights)[1]
+    grad = evaluate(problem, sol.weights)[1]
     assert sol.kkt_residual <= 1e-10 * (1.0 + np.linalg.norm(grad))
 
 

@@ -285,7 +285,7 @@ def test_weight_stall_excludes_every_rule_of_that_q(monkeypatch):
 
 
 def test_each_fold_starts_from_the_previous_folds_weights(monkeypatch):
-    # Per q, the first fold starts from the uniform vector and every later
+    # Per q, the first fold starts from the solver's default and every later
     # fold from the weights the previous fold of that q returned.
     rng = np.random.default_rng(45)
     y_pre, x_pre, _, _ = random_panel(rng, t0=30, n_donors=8, noise=0.3)
