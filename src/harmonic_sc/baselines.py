@@ -142,13 +142,12 @@ def fit_sdid(view: PrePostView, ridge_policy: float | str = "auto") -> BaselineF
         raise ValueError(
             f"sdid needs at least 3 pre-treatment periods, got {view.t0}"
         )
+    hsc.check_zeta(ridge_policy)
     zeta = (
         hsc.auto_zeta(view.x_pre, view.t_post)
-        if isinstance(ridge_policy, str) and ridge_policy == "auto"
+        if isinstance(ridge_policy, str)  # "auto", checked above
         else float(ridge_policy)
     )
-    if zeta < 0:
-        raise ValueError(f"zeta must be nonnegative, got {zeta}")
 
     def demean(z: np.ndarray) -> np.ndarray:
         return _zero_if_dust(z - z.mean(axis=0), z)

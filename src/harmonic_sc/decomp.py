@@ -129,8 +129,9 @@ def oracle_weights(latent: LatentPanel, q: int, zeta: float) -> np.ndarray:
     untouched by the idiosyncratic part.  ``zeta`` must be finite and
     nonnegative.
     """
-    if isinstance(zeta, str) or not np.isfinite(zeta) or zeta < 0:
-        raise ValueError(f"zeta must be a finite nonnegative number, got {zeta!r}")
+    if isinstance(zeta, str):  # no data-driven default without a view
+        raise ValueError(f"zeta must be a number, got {zeta!r}")
+    hsc.check_zeta(zeta)
     basis = spectral.spectral_basis(latent.t0, q)
     sig = latent.signal[: latent.t0]
     ridge = zeta * zeta * latent.t0

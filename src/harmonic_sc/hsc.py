@@ -58,11 +58,7 @@ class HscConfig:
                 f"unknown forecast rule {self.rule_kind!r}; choose from "
                 f"{', '.join(forecast.RULE_KINDS)}"
             )
-        if isinstance(self.zeta, str):
-            if self.zeta != "auto":
-                raise ValueError(f'zeta must be a number or "auto", got {self.zeta!r}')
-        elif not np.isfinite(self.zeta) or self.zeta < 0:
-            raise ValueError(f"zeta must be finite and nonnegative, got {self.zeta}")
+        check_zeta(self.zeta)
 
 
 @dataclass(frozen=True)
@@ -85,6 +81,16 @@ class HscFit:
     forecast_component: np.ndarray
     forecaster: forecast.ComposedForecaster
     solution: qp.QPSolution
+
+
+def check_zeta(zeta) -> None:
+    """Raise ``ValueError`` unless ``zeta`` is ``"auto"`` or a finite
+    nonnegative number."""
+    if isinstance(zeta, str):
+        if zeta != "auto":
+            raise ValueError(f'zeta must be a number or "auto", got {zeta!r}')
+    elif not np.isfinite(zeta) or zeta < 0:
+        raise ValueError(f"zeta must be finite and nonnegative, got {zeta}")
 
 
 def auto_zeta(x_pre: np.ndarray, t_post: int) -> float:

@@ -10,7 +10,9 @@ smoother ``S = (I + lam*K_q)^{-1}`` and the matching metric
 
 with exact endpoint branches ``S=I, W=K_q`` at rho=0 and ``S=P0,
 W=I-P0`` at rho=1 (P0 projects onto the penalty's null space: constants for
-q=1, constants plus linear trends for q=2).
+q=1, constants plus linear trends for q=2).  :func:`path_gains` is the one
+implementation of these gains; CV, the fit and the decomposition all read
+their rows from it.
 
 For q=1 the eigenpairs are known exactly: ``K_1`` is the path-graph
 (Neumann) second-difference matrix, whose eigenvectors are the DCT-II
@@ -26,10 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-#: Relative threshold below which an eigenvalue is treated as null space.
-NULL_SPACE_RTOL = 1e-9
-
 
 class EigenSolverError(RuntimeError):
     """The eigendecomposition failed or its spectrum did not pass the checks."""
@@ -118,8 +116,8 @@ def eigendecompose(k: np.ndarray, q: int) -> SpectralBasis:
     EigenSolverError
         If LAPACK reports a failure to converge, if the eigenvector matrix
         loses orthonormality, if the spectrum does not separate cleanly
-        into q null eigenvalues below the relative threshold and n-q
-        eigenvalues above it, with the polynomials of degree < q in the
+        into q null eigenvalues at most ``n * eps * max(mu)`` (the
+        rounding of ``eigh``) and n-q eigenvalues above it, with the polynomials of degree < q in the
         null space, or if the q=1 residual exceeds ``1e-10 * max|k|``
         (``k`` is not the order-1 penalty).
     """
@@ -142,7 +140,7 @@ def eigendecompose(k: np.ndarray, q: int) -> SpectralBasis:
     t = np.arange(n, dtype=float) - (n - 1) / 2.0
     null = np.column_stack([np.ones(n), t])[:, :q]
     null /= np.sqrt(np.sum(null * null, axis=0))
-    thr = NULL_SPACE_RTOL * max(eigvals[-1], 0.0)
+    thr = n * np.finfo(float).eps * max(eigvals[-1], 0.0)
     null_resid = np.max(np.abs(k @ null))
     if not (abs(eigvals[q - 1]) <= thr < eigvals[q] and null_resid <= thr):
         raise EigenSolverError(
@@ -178,110 +176,38 @@ def spectral_basis(n: int, q: int) -> SpectralBasis:
     return eigendecompose(penalty_matrix(n, q), q)
 
 
-def _interior_gains(mu, rho):
-    """``s = (1-rho)/((1-rho)+rho*mu)`` and ``w = mu/((1-rho)+rho*mu)``,
-    broadcast over ``mu`` and ``rho``."""
-    keep = 1.0 - rho
-    denom = keep + rho * mu
-    return keep / denom, mu / denom
-
-
-def gains(mu, rho: float):
-    """Spectral gains ``(s, w)`` of the smoother and the matching metric.
-
-    For rho in (0, 1): ``s = (1-rho)/((1-rho)+rho*mu)`` and
-    ``w = mu/((1-rho)+rho*mu)``.  Endpoints use the exact conventions
-    s(.;0)=1, w(mu;0)=mu and s(mu;1)=1{mu==0}, w(mu;1)=1{mu>0}, with the
-    null-space cutoff detected at tolerance 1e-9.
-
-    Accepts a scalar or an array of nonnegative eigenvalues; returns a pair
-    of the same shape.
-    """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    mu_arr = np.asarray(mu, dtype=float)
-    if np.any(mu_arr < -1e-12):
-        raise ValueError("eigenvalues must be nonnegative")
-    if rho == 1.0:
-        null = mu_arr <= 1e-9
-        s = np.where(null, 1.0, 0.0)
-        w = np.where(null, 0.0, 1.0)
-    else:  # exact at rho = 0 too: s = 1/1, w = mu/1
-        s, w = _interior_gains(mu_arr, rho)
-    if np.isscalar(mu) or np.ndim(mu) == 0:
-        return float(s), float(w)
-    return s, w
-
-
-@dataclass(frozen=True)
-class RhoMetric:
-    """A point on the smoothing path: gains of S and W at one rho.
-
-    ``shrink_gains[j]`` and ``match_gains[j]`` are the eigenvalue-wise
-    multipliers of the smoother and the matching metric in the penalty
-    eigenbasis.
-    """
-
-    rho: float
-    basis: SpectralBasis
-    shrink_gains: np.ndarray
-    match_gains: np.ndarray
-
-
 def path_gains(basis: SpectralBasis, rho_grid) -> tuple[np.ndarray, np.ndarray]:
-    """Gains of S and W along ``rho_grid``: one row per rho, one column per
-    eigenvalue.
+    """Gains of the smoother S and the matching metric W along ``rho_grid``:
+    one row per rho, one column per eigenvalue mu of ``basis``.
 
-    The interior formula of :func:`gains` is broadcast over the grid on the
-    positive eigenvalues, where it is exact at both endpoints (``s = 1``,
-    ``w = mu`` at rho = 0; ``0 / mu = 0`` and ``mu / mu = 1`` at rho = 1).
-    The null columns are ``s = 1``, ``w = 0`` at every rho, which is the
-    formula's value below rho = 1 and the exact endpoint branch at rho = 1,
-    so the indicator runs on the verified null dimension, not on a
-    floating-point eigenvalue test.
+    For rho in (0, 1) they are
+
+        s(mu; rho) = (1 - rho) / ((1 - rho) + rho*mu)
+        w(mu; rho) = mu / ((1 - rho) + rho*mu)
+
+    and the endpoints take the exact conventions: at rho = 0, s = 1 and
+    w = mu; at rho = 1, s = 1 and w = 0 on the null columns, s = 0 and w = 1
+    elsewhere.  The formula is broadcast over the grid on the positive
+    eigenvalues, where it is exact at both endpoints (``0 / mu = 0`` and
+    ``mu / mu = 1`` at rho = 1).  The null columns are ``s = 1``, ``w = 0``
+    at every rho, so the indicator runs on the verified null dimension q,
+    not on a floating-point eigenvalue test.
+
+    Raises
+    ------
+    ValueError
+        If a rho is NaN or outside [0, 1].
     """
     rho = np.asarray(rho_grid, dtype=float).reshape(-1, 1)
     inside = (rho >= 0.0) & (rho <= 1.0)  # NaN is outside
     if not inside.all():
         raise ValueError(f"rho must lie in [0, 1], got {rho[~inside][0]}")
     q = basis.q
+    mu = basis.eigenvalues[q:]
+    keep = 1.0 - rho
+    denom = keep + rho * mu
     shrink = np.ones((rho.size, basis.n))
     match = np.zeros((rho.size, basis.n))
-    shrink[:, q:], match[:, q:] = _interior_gains(basis.eigenvalues[q:], rho)
+    shrink[:, q:] = keep / denom
+    match[:, q:] = mu / denom
     return shrink, match
-
-
-def rho_metric(basis: SpectralBasis, rho: float) -> RhoMetric:
-    """Bind a spectral basis to a mixing weight rho."""
-    shrink, match = path_gains(basis, (rho,))
-    return RhoMetric(
-        rho=float(rho), basis=basis, shrink_gains=shrink[0], match_gains=match[0]
-    )
-
-
-def smoother_apply(metric: RhoMetric, r: np.ndarray) -> np.ndarray:
-    """Apply the smoother: ``S r = V diag(s) V' r`` in the eigenbasis."""
-    v = metric.basis.eigenvectors
-    return v @ (metric.shrink_gains * (v.T @ np.asarray(r, dtype=float)))
-
-
-def metric_apply(metric: RhoMetric, r: np.ndarray) -> np.ndarray:
-    """Apply the matching metric: ``W r = V diag(w) V' r``."""
-    v = metric.basis.eigenvectors
-    return v @ (metric.match_gains * (v.T @ np.asarray(r, dtype=float)))
-
-
-def metric_quadform(metric: RhoMetric, r: np.ndarray) -> float:
-    """Quadratic form ``r' W r`` = sum_j w_j (v_j' r)^2 (nonnegative)."""
-    coef = metric.basis.eigenvectors.T @ np.asarray(r, dtype=float)
-    return float(np.sum(metric.match_gains * coef * coef))
-
-
-def sqrt_factor(metric: RhoMetric) -> np.ndarray:
-    """Rectangular square root ``F = diag(sqrt(w)) V'`` with ``F'F = W``.
-
-    Any such factor induces the same quadratic form; this one skips the
-    final n^3 product and is the cheap path for building design matrices.
-    """
-    root = np.sqrt(metric.match_gains)
-    return root[:, None] * metric.basis.eigenvectors.T

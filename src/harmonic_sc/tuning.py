@@ -115,12 +115,7 @@ class CvPlan:
                 raise ValueError(
                     f"unknown forecast rule {rule_kind!r} in candidates"
                 )
-        if isinstance(self.zeta, str) and self.zeta != "auto":
-            raise ValueError(f'zeta must be a number or "auto", got {self.zeta!r}')
-        if not isinstance(self.zeta, str) and not (
-            np.isfinite(self.zeta) and self.zeta >= 0
-        ):
-            raise ValueError(f"zeta must be finite and nonnegative, got {self.zeta}")
+        hsc.check_zeta(self.zeta)
         object.__setattr__(self, "rho_grid", grid)
         object.__setattr__(
             self, "candidates", tuple((int(q), str(r)) for q, r in self.candidates)

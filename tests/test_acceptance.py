@@ -179,22 +179,24 @@ def test_gate_1_endpoint_equivalences():
 
 def test_gate_2_spectral_identities():
     started = time.monotonic()
+    unit = spectral.SpectralBasis(
+        n=2, q=1, eigenvalues=np.array([0.0, 1.0]), eigenvectors=np.eye(2)
+    )
     for t0 in (10, 80, 200):
         basis = spectral.spectral_basis(t0, 1)
         j = np.arange(t0, dtype=float)
         closed_form = 4.0 * np.sin(j * np.pi / (2.0 * t0)) ** 2
         npt.assert_allclose(np.sort(basis.eigenvalues), closed_form, atol=1e-8)
 
-        positive = basis.eigenvalues[basis.eigenvalues > 0]
+        positive = basis.eigenvalues[1:]
         for rho in tuning.uniform_grid():
             rho = float(rho)
-            _, w = spectral.gains(positive, rho)
+            w = spectral.path_gains(basis, (rho,))[1][0, 1:]
             lhs = 1.0 / w
             rhs = (1.0 - rho) / positive + rho
             assert np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))) <= 1e-12
 
-            _, w_one = spectral.gains(np.array([1.0]), rho)
-            assert w_one[0] == 1.0
+            assert spectral.path_gains(unit, (rho,))[1][0, 1] == 1.0
 
     _report(2, "spectral identities", started, 5.0)
 
@@ -211,6 +213,7 @@ def test_gate_3_error_split_identities():
     worst_split = 0.0
     worst_tb = 0.0
     basis = spectral.spectral_basis(cfg.t0, 1)
+    v = basis.eigenvectors
     for rep in range(1, 101):
         _, latent = mc.simulate_simple(cfg, rep)
         view = latent.to_view()
@@ -222,8 +225,8 @@ def test_gate_3_error_split_identities():
             split_gap = np.max(np.abs(ab.term_a + ab.term_b - ab.realized_error))
             worst_split = max(worst_split, float(split_gap))
 
-            metric = spectral.rho_metric(basis, rho)
-            smoothed = spectral.smoother_apply(metric, ab.eta_pre)
+            (shrink,), _ = spectral.path_gains(basis, (rho,))
+            smoothed = v @ (shrink * (v.T @ ab.eta_pre))
             direct = ab.eta_post - fit.forecaster.apply(smoothed, latent.t_post)
             worst_tb = max(worst_tb, float(np.max(np.abs(ab.term_b - direct))))
 

@@ -248,6 +248,9 @@ def test_sdid_ridge_deconcentrates_weights():
     spread = baselines.fit_sdid(view)
     assert np.max(concentrated.weights) > 0.9
     assert np.max(spread.weights) < np.max(concentrated.weights)
+    for zeta in (-0.1, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="zeta must be finite"):
+            baselines.fit_sdid(view, ridge_policy=zeta)
 
 
 def test_sdid_counterfactual_formula():

@@ -109,6 +109,16 @@ def test_estimate_baseline_method(tmp_path):
         npt.assert_allclose(total, float(row["counterfactual"]), rtol=1e-15)
 
 
+def test_estimate_q2_past_420_pre_periods(tmp_path):
+    # At 421 pre-periods the smallest nonzero q=2 eigenvalue is 1.59e-8.
+    panel_csv = write_panel_csv(tmp_path / "panel.csv", t_total=425)
+    code = cli.main(
+        ["estimate", "--panel", str(panel_csv), "--treated", "A", "--t0", "421",
+         "--q", "2", "--rho", "0.5", "--out", str(tmp_path / "run")]
+    )
+    assert code == 0
+
+
 def test_estimate_validation_failures(tmp_path, capsys):
     panel_csv = write_panel_csv(tmp_path / "panel.csv")
     base = ["estimate", "--panel", str(panel_csv), "--treated", "A", "--t0", "10",

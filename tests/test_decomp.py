@@ -146,23 +146,22 @@ def test_continuation_term_direct_form(rho):
     fit = hsc.fit(latent.to_view(), hsc.HscConfig(rho=rho, q=1, zeta=0.3))
     ab = decomp.ab_decompose(latent, fit)
     basis = spectral.spectral_basis(latent.t0, 1)
-    metric = spectral.rho_metric(basis, rho)
-    smoothed_gap = fit.forecaster.apply(
-        spectral.smoother_apply(metric, ab.eta_pre), latent.t_post
-    )
+    v = basis.eigenvectors
+    (shrink,), _ = spectral.path_gains(basis, (rho,))
+    smoothed_gap = fit.forecaster.apply(v @ (shrink * (v.T @ ab.eta_pre)), latent.t_post)
     npt.assert_allclose(ab.term_b, ab.eta_post - smoothed_gap, atol=1e-9)
 
 
-def materialize_map_by_columns(forecaster, metric, horizon):
+def materialize_map_by_columns(forecaster, basis, shrink, horizon):
     """Oracle for the maps of ``decomp._forecasts``: one application per
     column.
 
     The affine forecast map is pinned down by its action on each column of
-    the smoother plus its value at zero.
+    the smoother ``V diag(shrink) V'`` plus its value at zero.
     """
-    v = metric.basis.eigenvectors
-    smoother = (v * metric.shrink_gains) @ v.T
-    n = metric.basis.n
+    v = basis.eigenvectors
+    smoother = (v * shrink) @ v.T
+    n = basis.n
     offset = forecaster.apply(np.zeros(n), horizon)
     pi = np.empty((horizon, n))
     for j in range(n):
@@ -175,23 +174,20 @@ def test_materialized_map_matches_affine_application():
     rng = np.random.default_rng(7)
     for q in (1, 2):
         basis = spectral.spectral_basis(latent.t0, q)
-        metric = spectral.rho_metric(basis, 0.7)
+        v = basis.eigenvectors
+        shrink, _ = spectral.path_gains(basis, (0.7,))
         for rule in forecast.RULE_KINDS:
             cfg = hsc.HscConfig(rho=0.7, q=q, rule_kind=rule, zeta=0.3)
             fit = hsc.fit(latent.to_view(), cfg)
-            (pi,), _ = decomp._forecasts(
-                fit.forecaster, basis, metric.shrink_gains[None], latent.t_post
-            )
+            (pi,), _ = decomp._forecasts(fit.forecaster, basis, shrink, latent.t_post)
             pi_ref, offset = materialize_map_by_columns(
-                fit.forecaster, metric, latent.t_post
+                fit.forecaster, basis, shrink[0], latent.t_post
             )
             scale = np.max(np.abs(pi_ref)) + np.max(np.abs(offset))
             npt.assert_allclose(pi, pi_ref, rtol=0.0, atol=1e-12 * scale)
             for _ in range(5):
                 r = rng.normal(size=latent.t0)
-                direct = fit.forecaster.apply(
-                    spectral.smoother_apply(metric, r), latent.t_post
-                )
+                direct = fit.forecaster.apply(v @ (shrink[0] * (v.T @ r)), latent.t_post)
                 npt.assert_allclose(pi @ r + offset, direct, atol=1e-10)
 
 
@@ -202,15 +198,15 @@ def test_materialized_map_matches_affine_application():
 def _objectives(latent, rho, q, zeta):
     """Feasible and infeasible program objectives as plain callables."""
     basis = spectral.spectral_basis(latent.t0, q)
-    metric = spectral.rho_metric(basis, rho)
+    _, (match,) = spectral.path_gains(basis, (rho,))
     view = latent.to_view()
     l1 = latent.signal[: latent.t0, 0]
     l0 = latent.signal[: latent.t0, 1:]
     ridge = zeta * zeta * latent.t0
 
     def feasible(w):
-        r = view.y_pre - view.x_pre @ w
-        return spectral.metric_quadform(metric, r) + ridge * float(w @ w)
+        coef = basis.eigenvectors.T @ (view.y_pre - view.x_pre @ w)
+        return float(np.sum(match * coef * coef)) + ridge * float(w @ w)
 
     def infeasible(w):
         e = basis.project_perp(l1 - l0 @ w)
@@ -317,19 +313,20 @@ def test_dual_norm_transfer_inequality():
     view = latent.to_view()
     t0 = latent.t0
     basis = spectral.spectral_basis(t0, 1)
+    v = basis.eigenvectors
     zeta = 0.3
     rng = np.random.default_rng(8)
     for rho in (0.0, 0.25, 0.6, 0.95, 1.0):
-        metric = spectral.rho_metric(basis, rho)
-        design = spectral.sqrt_factor(metric) @ view.x_pre
+        _, (match,) = spectral.path_gains(basis, (rho,))
+        design = np.sqrt(match)[:, None] * v.T @ view.x_pre
         q_mat = design.T @ design / t0 + zeta**2 * np.eye(latent.n_donors)
         evals, evecs = np.linalg.eigh((q_mat + q_mat.T) / 2.0)
         for _ in range(20):
-            u = rng.normal(size=t0)
-            g = view.x_pre.T @ spectral.metric_apply(metric, u)
+            u_coef = v.T @ rng.normal(size=t0)
+            g = view.x_pre.T @ (v @ (match * u_coef))
             coef = evecs.T @ g
             lhs = np.sqrt(np.sum(coef * coef / evals)) / t0
-            rhs = np.sqrt(spectral.metric_quadform(metric, u) / t0)
+            rhs = np.sqrt(np.sum(match * u_coef * u_coef) / t0)
             assert lhs <= rhs * (1.0 + 1e-10) + 1e-12
 
 
@@ -397,34 +394,36 @@ def test_ab_decompose_rejects_mismatched_fit():
 # Per-point reference
 
 
-def reference_materialize_map(forecaster, metric, horizon):
+def reference_materialize_map(forecaster, basis, shrink, horizon):
     """The forecast map of one grid point, from the smoother applied as one
     stack."""
-    v = metric.basis.eigenvectors
-    smoother = (v * metric.shrink_gains) @ v.T
-    offset = forecaster.apply(np.zeros(metric.basis.n), horizon)
+    v = basis.eigenvectors
+    smoother = (v * shrink) @ v.T
+    offset = forecaster.apply(np.zeros(basis.n), horizon)
     return forecaster.apply(smoother, horizon) - offset[:, None], offset
 
 
-def reference_ab_terms(latent, fit, parts, metric, pi):
+def reference_ab_terms(latent, fit, parts, basis, shrink, pi):
     """The error split of one fit, given the oracle parts and its map."""
     view = latent.to_view()
     term_a = (view.x_post - pi @ view.x_pre) @ (parts.weights - fit.weights)
-    smoothed = spectral.smoother_apply(metric, parts.r_pre)
+    v = basis.eigenvectors
+    smoothed = v @ (shrink * (v.T @ parts.r_pre))
     term_b = parts.r_post - fit.forecaster.apply(smoothed, latent.t_post)
     return term_a, term_b, view.y_post - fit.counterfactual
 
 
-def reference_channel_report(latent, metric, zeta, parts, pi):
+def reference_channel_report(latent, basis, match, zeta, parts, pi):
     """The channel bounds of one grid point, one program at a time."""
     t0 = latent.t0
     view = latent.to_view()
     l0 = latent.signal[:t0, 1:]
     r0 = latent.remainder[:t0, 1:]
-    w_e_signal = spectral.metric_apply(metric, parts.e_signal)
-    g1 = l0.T @ (w_e_signal - metric.basis.project_perp(parts.e_signal))
+    v = basis.eigenvectors
+    w_e_signal = v @ (match * (v.T @ parts.e_signal))
+    g1 = l0.T @ (w_e_signal - basis.project_perp(parts.e_signal))
     g2 = r0.T @ w_e_signal
-    design = spectral.sqrt_factor(metric) @ view.x_pre
+    design = np.sqrt(match)[:, None] * v.T @ view.x_pre
     q_mat = design.T @ design / t0 + zeta * zeta * np.eye(latent.n_donors)
     evals, evecs = np.linalg.eigh((q_mat + q_mat.T) / 2.0)
     keep = evals > 1e-12 * max(evals[-1], 0.0)
@@ -436,7 +435,8 @@ def reference_channel_report(latent, metric, zeta, parts, pi):
 
     a1 = dual_norm(g1) / t0
     a2 = dual_norm(g2) / t0
-    a3 = float(np.sqrt(spectral.metric_quadform(metric, parts.e_remainder) / t0))
+    e3 = v.T @ parts.e_remainder
+    a3 = float(np.sqrt(np.sum(match * e3 * e3) / t0))
     c_mat = view.x_post - pi @ view.x_pre
     transfer = float(np.linalg.norm((c_mat @ evecs) * np.sqrt(inv), 2))
     return {
@@ -461,10 +461,12 @@ def reference_decompose(latent, q, rule_kind, zeta):
     for rho in decomp.DEFAULT_RHO_GRID:
         cfg = hsc.HscConfig(rho=rho, q=q, rule_kind=rule_kind, zeta=zeta)
         fit = hsc.fit(view, cfg)
-        metric = spectral.rho_metric(basis, rho)
-        pi, _ = reference_materialize_map(fit.forecaster, metric, latent.t_post)
-        term_a, term_b, realized = reference_ab_terms(latent, fit, parts, metric, pi)
-        row = reference_channel_report(latent, metric, zeta, parts, pi)
+        (shrink,), (match,) = spectral.path_gains(basis, (rho,))
+        pi, _ = reference_materialize_map(fit.forecaster, basis, shrink, latent.t_post)
+        term_a, term_b, realized = reference_ab_terms(
+            latent, fit, parts, basis, shrink, pi
+        )
+        row = reference_channel_report(latent, basis, match, zeta, parts, pi)
         row.update(
             weights=fit.weights,
             term_a=term_a,
@@ -509,16 +511,16 @@ def test_single_fit_entries_match_per_point_reference(q, rule):
     parts = decomp._oracle_parts(latent, basis, decomp.oracle_weights(latent, q, 0.3))
     for rho in (0.0, 0.6, 1.0):
         fit = hsc.fit(latent.to_view(), hsc.HscConfig(rho, q, rule, zeta=0.3))
-        metric = spectral.rho_metric(basis, rho)
-        pi, _ = reference_materialize_map(fit.forecaster, metric, latent.t_post)
-        expected = reference_ab_terms(latent, fit, parts, metric, pi)
+        (shrink,), (match,) = spectral.path_gains(basis, (rho,))
+        pi, _ = reference_materialize_map(fit.forecaster, basis, shrink, latent.t_post)
+        expected = reference_ab_terms(latent, fit, parts, basis, shrink, pi)
         ab = decomp.ab_decompose(latent, fit)
         actual = (ab.term_a, ab.term_b, ab.realized_error)
         for value, reference in zip(actual, expected):
             tol = 1e-10 * np.max(np.abs(reference))
             npt.assert_allclose(value, reference, rtol=0.0, atol=tol)
         report = decomp.channels(latent, rho, q, 0.3, fit.forecaster)
-        bounds = reference_channel_report(latent, metric, 0.3, parts, pi)
+        bounds = reference_channel_report(latent, basis, match, 0.3, parts, pi)
         for name, reference in bounds.items():
             assert getattr(report, name) == pytest.approx(reference, rel=1e-10), name
 

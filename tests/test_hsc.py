@@ -141,9 +141,10 @@ def test_fit_smooth_component_is_smoothed_residual():
     cfg = hsc.HscConfig(rho=0.35, q=2)
     fitted = hsc.fit(view, cfg)
     basis = spectral.spectral_basis(view.t0, 2)
-    metric = spectral.rho_metric(basis, 0.35)
+    (shrink,), _ = spectral.path_gains(basis, (0.35,))
+    v = basis.eigenvectors
     np.testing.assert_allclose(
-        fitted.e_pre, spectral.smoother_apply(metric, fitted.r_pre), atol=1e-8
+        fitted.e_pre, v @ (shrink * (v.T @ fitted.r_pre)), atol=1e-8
     )
 
 
@@ -152,10 +153,10 @@ def test_null_component_always_routed_to_smooth_branch(rho):
     view = random_view(6)
     fitted = hsc.fit(view, hsc.HscConfig(rho=rho, q=1))
     basis = spectral.spectral_basis(view.t0, 1)
-    metric = spectral.rho_metric(basis, rho)
+    _, (match,) = spectral.path_gains(basis, (rho,))
     p0_r = basis.project_null(fitted.r_pre)
     # Invisible to the matching metric...
-    assert np.sqrt(spectral.metric_quadform(metric, p0_r)) < 1e-8
+    assert np.sqrt(np.sum(match * (basis.eigenvectors.T @ p0_r) ** 2)) < 1e-8
     # ...and preserved verbatim inside the smooth component.
     np.testing.assert_allclose(basis.project_null(fitted.e_pre), p0_r, atol=1e-10)
 
@@ -294,7 +295,7 @@ def reference_fit_path(y, x, basis, rho_grid, ridge):
     u_y, u_x = v.T @ y, v.T @ x
     weights, problems, start = [], [], None
     for rho in rho_grid:
-        root = np.sqrt(spectral.rho_metric(basis, rho).match_gains)
+        root = np.sqrt(spectral.path_gains(basis, (rho,))[1][0])
         problems.append(qp.build(root * u_y, root[:, None] * u_x, ridge))
         start = qp.solve(problems[-1], init=start).weights
         weights.append(start)

@@ -306,7 +306,7 @@ def test_strict_convexity_start_independence():
     v = basis.eigenvectors
 
     def program(rho):
-        root = np.sqrt(spectral.rho_metric(basis, rho).match_gains)
+        root = np.sqrt(spectral.path_gains(basis, (rho,))[1][0])
         c = root[:, None] * v.T
         return qp.build(c @ y, c @ x, ridge=0.5)
 
@@ -323,7 +323,7 @@ def spectral_program(seed, rho, ridge=0.5):
     x = np.cumsum(rng.normal(size=(30, 8)), axis=0)
     y = x @ rng.dirichlet(np.ones(8)) + 0.3 * rng.normal(size=30)
     basis = spectral.spectral_basis(30, 1)
-    root = np.sqrt(spectral.rho_metric(basis, rho).match_gains)
+    root = np.sqrt(spectral.path_gains(basis, (rho,))[1][0])
     c = root[:, None] * basis.eigenvectors.T
     return qp.build(c @ y, c @ x, ridge)
 

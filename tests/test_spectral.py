@@ -306,31 +306,67 @@ def test_null_projectors_complementary():
     np.testing.assert_allclose(b.project_perp(trend), 0.0, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [421, 1000])
+def test_long_q2_bases_build(n):
+    # The smallest nonzero eigenvalue is 1.59e-8 at n=421 and 5.0e-10 at
+    # n=1000 (the largest is about 16); it must still clear the null cut.
+    k = spectral.penalty_matrix(n, 2)
+    b = spectral.eigendecompose(k, 2)
+    v = b.eigenvectors
+    assert np.max(np.abs(k @ v - v * b.eigenvalues)) < 1e-8
+    assert np.max(np.abs(v.T @ v - np.eye(n))) < 1e-10
+    trend = 3.0 - 1.7 * np.arange(n, dtype=float)
+    np.testing.assert_allclose(b.project_null(trend), trend, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(b.project_perp(trend), 0.0, rtol=0, atol=1e-10)
+
+
 # ----------------------------------------------------------------- gains
+
+def basis_over(*mu):
+    """A basis over the given spectrum (nulls first): :func:`path_gains`
+    reads only ``n``, ``q`` and the eigenvalues."""
+    mu = np.array(mu, dtype=float)
+    return spectral.SpectralBasis(
+        n=mu.size, q=int(np.sum(mu == 0.0)), eigenvalues=mu, eigenvectors=np.eye(mu.size)
+    )
+
+
+def gains_at(basis, rho):
+    """Rows ``(s, w)`` of :func:`path_gains` at one rho."""
+    (s,), (w,) = spectral.path_gains(basis, (rho,))
+    return s, w
+
+
+def operators(basis, rho):
+    """Dense smoother ``V diag(s) V'`` and metric ``V diag(w) V'`` at one rho."""
+    v = basis.eigenvectors
+    s, w = gains_at(basis, rho)
+    return (v * s) @ v.T, (v * w) @ v.T
+
 
 def test_gains_fixed_point_at_mu_one():
     for rho in RHO_GRID:
-        _, w = spectral.gains(1.0, rho)
-        assert w == pytest.approx(1.0, abs=1e-15)
+        _, w = gains_at(basis_over(0.0, 1.0), rho)
+        assert w[1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_gains_null_space_untouched():
-    s, w = spectral.gains(0.0, 0.5)
-    assert (s, w) == (1.0, 0.0)
+    s, w = gains_at(basis_over(0.0, 1.0), 0.5)
+    assert (s[0], w[0]) == (1.0, 0.0)
 
 
 def test_gains_harmonic_mean_example():
-    s, w = spectral.gains(3.0, 0.25)
-    assert w == pytest.approx(2.0, abs=1e-15)
-    assert s == pytest.approx(0.5, abs=1e-15)
+    s, w = gains_at(basis_over(0.0, 3.0), 0.25)
+    assert w[1] == pytest.approx(2.0, abs=1e-15)
+    assert s[1] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_gains_endpoint_conventions():
     mu = np.array([0.0, 0.5, 2.0])
-    s0, w0 = spectral.gains(mu, 0.0)
+    s0, w0 = gains_at(basis_over(*mu), 0.0)
     np.testing.assert_array_equal(s0, 1.0)
     np.testing.assert_array_equal(w0, mu)
-    s1, w1 = spectral.gains(mu, 1.0)
+    s1, w1 = gains_at(basis_over(*mu), 1.0)
     np.testing.assert_array_equal(s1, [1.0, 0.0, 0.0])
     np.testing.assert_array_equal(w1, [0.0, 1.0, 1.0])
 
@@ -340,51 +376,53 @@ def test_gains_endpoint_conventions():
     st.floats(1e-3, 1.0, exclude_max=True, allow_nan=False),
 )
 def test_gains_harmonic_identity(mu, rho):
-    _, w = spectral.gains(mu, rho)
-    lhs = 1.0 / w
+    _, w = gains_at(basis_over(0.0, mu), rho)
+    lhs = 1.0 / w[1]
     rhs = (1.0 - rho) / mu + rho
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 def test_gains_monotone_in_mu():
-    mu = np.linspace(0.0, 4.0, 50)
+    basis = spectral.spectral_basis(50, 1)
     for rho in (0.3, 0.7):
-        s, w = spectral.gains(mu, rho)
+        s, w = gains_at(basis, rho)
         assert np.all(np.diff(s) < 0)
         assert np.all(np.diff(w) > 0)
 
 
 def test_gains_rejects_rho_outside_unit_interval():
-    with pytest.raises(ValueError, match="rho"):
-        spectral.gains(1.0, 1.5)
-    with pytest.raises(ValueError, match="rho"):
-        spectral.gains(1.0, -0.1)
+    basis = spectral.spectral_basis(10, 2)
+    for grid in ((1.5,), (-0.1,), (np.nan,), (0.0, 0.5, 1.0 + 1e-12)):
+        with pytest.raises(ValueError, match="rho must lie in"):
+            spectral.path_gains(basis, grid)
 
 
-def test_gains_scalar_matches_vector():
-    mu = np.array([0.0, 0.3, 1.7])
-    s_vec, w_vec = spectral.gains(mu, 0.42)
-    for i, m in enumerate(mu):
-        s, w = spectral.gains(float(m), 0.42)
-        assert (s, w) == (s_vec[i], w_vec[i])
+@pytest.mark.parametrize("q", [1, 2])
+def test_grid_rows_equal_single_point_gains(q):
+    # CV reads a whole grid; a fit and the decomposition read one rho.
+    basis = spectral.spectral_basis(40, q)
+    grid = tuning.uniform_grid()
+    shrink, match = spectral.path_gains(basis, grid)
+    for g, rho in enumerate(grid):
+        s, w = gains_at(basis, rho)
+        np.testing.assert_array_equal(shrink[g], s)
+        np.testing.assert_array_equal(match[g], w)
 
-
-# ------------------------------------------------------------ rho metric
 
 def test_rho_metric_elementwise_formulas():
     basis = spectral.spectral_basis(20, 1)
     mu = basis.eigenvalues
-    m = spectral.rho_metric(basis, 0.37)
-    np.testing.assert_allclose(m.shrink_gains, 0.63 / (0.63 + 0.37 * mu), atol=1e-14)
-    np.testing.assert_allclose(m.match_gains, mu / (0.63 + 0.37 * mu), atol=1e-14)
+    s, w = gains_at(basis, 0.37)
+    np.testing.assert_allclose(s, 0.63 / (0.63 + 0.37 * mu), atol=1e-14)
+    np.testing.assert_allclose(w, mu / (0.63 + 0.37 * mu), atol=1e-14)
 
-    m0 = spectral.rho_metric(basis, 0.0)
-    np.testing.assert_array_equal(m0.shrink_gains, 1.0)
-    np.testing.assert_array_equal(m0.match_gains, mu)
+    s0, w0 = gains_at(basis, 0.0)
+    np.testing.assert_array_equal(s0, 1.0)
+    np.testing.assert_array_equal(w0, mu)
 
-    m1 = spectral.rho_metric(basis, 1.0)
-    np.testing.assert_array_equal(m1.shrink_gains, (mu == 0).astype(float))
-    np.testing.assert_array_equal(m1.match_gains, (mu > 0).astype(float))
+    s1, w1 = gains_at(basis, 1.0)
+    np.testing.assert_array_equal(s1, (mu == 0).astype(float))
+    np.testing.assert_array_equal(w1, (mu > 0).astype(float))
 
 
 def test_smoother_fixes_null_space():
@@ -393,182 +431,89 @@ def test_smoother_fixes_null_space():
     for q, vectors in cases.items():
         basis = spectral.spectral_basis(12, q)
         for rho in (0.0, 0.4, 0.9, 1.0):
-            m = spectral.rho_metric(basis, rho)
+            s_mat, _ = operators(basis, rho)
             for v in vectors:
-                np.testing.assert_allclose(
-                    spectral.smoother_apply(m, v), v, atol=1e-10
-                )
+                np.testing.assert_allclose(s_mat @ v, v, atol=1e-10)
 
 
 def test_smoother_endpoints():
-    rng = np.random.default_rng(11)
-    r = rng.normal(size=30)
     basis = spectral.spectral_basis(30, 1)
-    np.testing.assert_allclose(
-        spectral.smoother_apply(spectral.rho_metric(basis, 0.0), r), r, atol=1e-12
-    )
-    smoothed = spectral.smoother_apply(spectral.rho_metric(basis, 1.0), r)
-    np.testing.assert_allclose(smoothed, np.full(30, r.mean()), atol=1e-10)
+    np.testing.assert_allclose(operators(basis, 0.0)[0], np.eye(30), atol=1e-12)
+    np.testing.assert_allclose(operators(basis, 1.0)[0], 1.0 / 30, atol=1e-10)
 
 
-def smoother_apply_direct(metric, r):
-    """Oracle for the smoother: dense solve of ``(I + lam*K) x = r``.
+def smoother_direct(n, q, rho):
+    """Oracle for the smoother: dense ``(I + lam*K)^{-1}``, lam = rho/(1-rho).
 
     Valid for rho in [0, 1); rho=1 has no finite lam.
     """
-    if metric.rho == 1.0:
+    if rho == 1.0:
         raise ValueError("direct solve undefined at rho=1 (lam is infinite)")
-    n = metric.basis.n
-    k = spectral.penalty_matrix(n, metric.basis.q)
-    lam = metric.rho / (1.0 - metric.rho)
-    return np.linalg.solve(np.eye(n) + lam * k, np.asarray(r, dtype=float))
+    lam = rho / (1.0 - rho)
+    return np.linalg.solve(np.eye(n) + lam * spectral.penalty_matrix(n, q), np.eye(n))
 
 
 @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("q", [1, 2])
 def test_smoother_matches_direct_solve(rho, q):
-    rng = np.random.default_rng(5)
-    r = rng.normal(size=35)
-    m = spectral.rho_metric(spectral.spectral_basis(35, q), rho)
-    np.testing.assert_allclose(
-        spectral.smoother_apply(m, r),
-        smoother_apply_direct(m, r),
-        atol=1e-8,
-    )
+    s_mat, w_mat = operators(spectral.spectral_basis(35, q), rho)
+    s_direct = smoother_direct(35, q, rho)
+    np.testing.assert_allclose(s_mat, s_direct, atol=1e-8)
+    # W = (I - S) / rho
+    np.testing.assert_allclose(w_mat, (np.eye(35) - s_direct) / rho, atol=1e-7)
 
 
 def test_direct_solve_refuses_rho_one():
-    m = spectral.rho_metric(spectral.spectral_basis(10, 1), 1.0)
     with pytest.raises(ValueError, match="rho=1"):
-        smoother_apply_direct(m, np.zeros(10))
+        smoother_direct(10, 1, 1.0)
 
 
 def test_quadform_rho0_is_squared_difference_norm():
-    rng = np.random.default_rng(3)
-    r = rng.normal(size=25)
     for q in (1, 2):
-        m = spectral.rho_metric(spectral.spectral_basis(25, q), 0.0)
-        d = spectral.difference_operator(25, q)
-        assert spectral.metric_quadform(m, r) == pytest.approx(
-            np.sum((d @ r) ** 2), rel=1e-12
-        )
+        _, w_mat = operators(spectral.spectral_basis(25, q), 0.0)
+        np.testing.assert_allclose(w_mat, spectral.penalty_matrix(25, q), atol=1e-12)
 
 
 def test_quadform_rho1_q1_is_centered_norm():
-    rng = np.random.default_rng(4)
-    r = rng.normal(size=25)
-    m = spectral.rho_metric(spectral.spectral_basis(25, 1), 1.0)
-    assert spectral.metric_quadform(m, r) == pytest.approx(
-        np.sum((r - r.mean()) ** 2), rel=1e-12
-    )
+    _, w_mat = operators(spectral.spectral_basis(25, 1), 1.0)
+    np.testing.assert_allclose(w_mat, np.eye(25) - 1.0 / 25, atol=1e-12)
 
 
 def test_quadform_vanishes_on_null_space():
     t = np.arange(18, dtype=float)
     basis = spectral.spectral_basis(18, 2)
     for rho in RHO_GRID:
-        m = spectral.rho_metric(basis, rho)
-        assert abs(spectral.metric_quadform(m, 1.0 - 0.7 * t)) < 1e-9
+        _, w_mat = operators(basis, rho)
+        assert np.max(np.abs(w_mat @ (1.0 - 0.7 * t))) < 1e-9
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.2, 0.8, 1.0]))
 @settings(max_examples=25, deadline=None)
 def test_quadform_nonnegative(seed, rho):
     r = np.random.default_rng(seed).normal(size=15)
-    m = spectral.rho_metric(spectral.spectral_basis(15, 1), rho)
-    assert spectral.metric_quadform(m, r) >= -1e-12
-
-
-def test_metric_apply_consistent_with_quadform():
-    rng = np.random.default_rng(9)
-    r = rng.normal(size=22)
-    m = spectral.rho_metric(spectral.spectral_basis(22, 2), 0.6)
-    assert r @ spectral.metric_apply(m, r) == pytest.approx(
-        spectral.metric_quadform(m, r), rel=1e-12
-    )
-
-
-# ------------------------------------------------------------ square root
-
-def sqrt_transform(metric):
-    """Oracle square root: the symmetric ``W^{1/2} = V diag(sqrt(w)) V'``."""
-    v = metric.basis.eigenvectors
-    c = v @ spectral.sqrt_factor(metric)
-    return (c + c.T) / 2.0
-
-
-def test_sqrt_transform_squares_to_metric():
-    basis = spectral.spectral_basis(20, 1)
-    for rho in (0.0, 0.5, 1.0):
-        m = spectral.rho_metric(basis, rho)
-        c = sqrt_transform(m)
-        np.testing.assert_array_equal(c, c.T)
-        v = basis.eigenvectors
-        w_mat = v @ (m.match_gains[:, None] * v.T)
-        assert np.max(np.abs(c.T @ c - w_mat)) < 1e-8
-
-
-def test_sqrt_factor_squares_to_metric():
-    basis = spectral.spectral_basis(20, 2)
-    m = spectral.rho_metric(basis, 0.8)
-    f = spectral.sqrt_factor(m)
-    v = basis.eigenvectors
-    w_mat = v @ (m.match_gains[:, None] * v.T)
-    assert np.max(np.abs(f.T @ f - w_mat)) < 1e-10
-
-
-def test_sqrt_transform_norm_matches_quadform():
-    rng = np.random.default_rng(21)
-    r = rng.normal(size=20)
-    m = spectral.rho_metric(spectral.spectral_basis(20, 1), 0.7)
-    c = sqrt_transform(m)
-    assert np.sum((c @ r) ** 2) == pytest.approx(
-        spectral.metric_quadform(m, r), rel=1e-8
-    )
-
-
-def test_sqrt_transform_rho0_q1_difference_norm():
-    rng = np.random.default_rng(22)
-    r = rng.normal(size=20)
-    m = spectral.rho_metric(spectral.spectral_basis(20, 1), 0.0)
-    d = spectral.difference_operator(20, 1)
-    assert np.sum((sqrt_transform(m) @ r) ** 2) == pytest.approx(
-        np.sum((d @ r) ** 2), rel=1e-8
-    )
-
-
-def test_sqrt_transform_rho1_is_projector():
-    m = spectral.rho_metric(spectral.spectral_basis(20, 1), 1.0)
-    c = sqrt_transform(m)
-    assert np.max(np.abs(c @ c - c)) < 1e-8
-    expected = np.eye(20) - np.full((20, 20), 1.0 / 20)
-    assert np.max(np.abs(c - expected)) < 1e-8
+    _, w_mat = operators(spectral.spectral_basis(15, 1), rho)
+    assert r @ w_mat @ r >= -1e-12
 
 
 # ------------------------------------------------------------- invariants
 
 def test_continuity_near_endpoints():
-    mu = spectral.spectral_basis(40, 2).eigenvalues
-    positive = mu[mu > 0]
-    _, w_hi = spectral.gains(positive, 1.0 - 1e-6)
-    assert np.all(np.abs(w_hi - 1.0) < 1e-4 * (1.0 + 1.0 / positive))
-    _, w_lo = spectral.gains(positive, 1e-8)
-    assert np.all(np.abs(w_lo - positive) < 1e-6 * positive)
+    basis = spectral.spectral_basis(40, 2)
+    positive = basis.eigenvalues[2:]
+    _, w_hi = gains_at(basis, 1.0 - 1e-6)
+    assert np.all(np.abs(w_hi[2:] - 1.0) < 1e-4 * (1.0 + 1.0 / positive))
+    _, w_lo = gains_at(basis, 1e-8)
+    assert np.all(np.abs(w_lo[2:] - positive) < 1e-6 * positive)
 
 
 def test_metric_psd_on_study_grid():
     basis = spectral.spectral_basis(15, 2)
-    v = basis.eigenvectors
     for rho in RHO_GRID:
-        m = spectral.rho_metric(basis, rho)
-        assert m.match_gains.min() >= 0.0
-        w_mat = v @ (m.match_gains[:, None] * v.T)
-        assert np.linalg.eigvalsh(w_mat).min() > -1e-10
+        assert gains_at(basis, rho)[1].min() >= 0.0
+        assert np.linalg.eigvalsh(operators(basis, rho)[1]).min() > -1e-10
 
 
 def test_smoother_commutes_with_penalty():
     k = spectral.penalty_matrix(30, 2)
-    m = spectral.rho_metric(spectral.spectral_basis(30, 2), 0.55)
-    v = m.basis.eigenvectors
-    s_mat = v @ (m.shrink_gains[:, None] * v.T)
+    s_mat, _ = operators(spectral.spectral_basis(30, 2), 0.55)
     assert np.max(np.abs(s_mat @ k - k @ s_mat)) < 1e-8

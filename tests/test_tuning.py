@@ -518,11 +518,11 @@ def reference_cross_validate(y_pre, x_pre, plan):
             weights = None
             try:
                 for gi, rho in enumerate(grid):
-                    metric = spectral.rho_metric(basis, rho)
-                    root = np.sqrt(metric.match_gains)
+                    shrink, match = spectral.path_gains(basis, (rho,))
+                    root = np.sqrt(match[0])
                     problem = qp.build(root * u_y, root[:, None] * u_x, zeta * zeta * k)
                     weights = qp.solve(problem, init=weights).weights
-                    e = v @ (metric.shrink_gains * (u_y - u_x @ weights))
+                    e = v @ (shrink[0] * (u_y - u_x @ weights))
                     fc = forecast.compose(rule, basis, e, plan.h)
                     per_fold[ci, li, :, gi] = (y_val - (x_val @ weights + fc)) ** 2
             except forecast.ForecastError as exc:
