@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from harmonic_sc.baselines import fit_diff_sc, fit_sc, fit_sc_int, fit_sdid
-from harmonic_sc.decomp import LatentPanel, ab_decompose, channels, decompose
+from harmonic_sc.decomp import LatentPanel, decompose
 from harmonic_sc.hsc import HscConfig, HscFit, auto_zeta, fit
 from harmonic_sc.mc import (
     GridDgpConfig,
@@ -34,8 +34,6 @@ __all__ = [
     "fit_diff_sc",
     "fit_sdid",
     "LatentPanel",
-    "ab_decompose",
-    "channels",
     "decompose",
     "GridDgpConfig",
     "SimpleDgpConfig",

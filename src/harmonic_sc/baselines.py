@@ -58,13 +58,9 @@ def _zero_if_dust(stripped: np.ndarray, original: np.ndarray) -> np.ndarray:
     return stripped
 
 
-def _solve_identity_qp(y: np.ndarray, x: np.ndarray, ridge: float) -> qp.QPSolution:
-    return qp.solve(qp.build(y, x, ridge))
-
-
 def fit_sc(view: PrePostView, ridge: float = 0.0) -> BaselineFit:
     """Plain synthetic control: simplex weights matching pre-period levels."""
-    sol = _solve_identity_qp(view.y_pre, view.x_pre, ridge)
+    sol = qp.solve(qp.build(view.y_pre, view.x_pre, ridge))
     return BaselineFit(
         method="sc",
         weights=sol.weights,
@@ -92,7 +88,7 @@ def fit_sc_int(
         coef, *_ = np.linalg.lstsq(design, z, rcond=None)
         return _zero_if_dust(z - design @ coef, z)
 
-    sol = _solve_identity_qp(strip(view.y_pre), strip(view.x_pre), ridge)
+    sol = qp.solve(qp.build(strip(view.y_pre), strip(view.x_pre), ridge))
     residual = view.y_pre - view.x_pre @ sol.weights
     coef, *_ = np.linalg.lstsq(design, residual, rcond=None)
     continued = _polynomial_design(view.t0, view.t_post, order) @ coef
@@ -115,8 +111,8 @@ def fit_diff_sc(view: PrePostView, ridge: float = 0.0) -> BaselineFit:
     pinned down by carrying the final pre-period matching discrepancy
     forward: X_post·w + (y_T0 - x_T0·w).
     """
-    sol = _solve_identity_qp(
-        np.diff(view.y_pre), np.diff(view.x_pre, axis=0), ridge
+    sol = qp.solve(
+        qp.build(np.diff(view.y_pre), np.diff(view.x_pre, axis=0), ridge)
     )
     anchor = float(view.y_pre[-1] - view.x_pre[-1] @ sol.weights)
     return BaselineFit(
@@ -152,8 +148,8 @@ def fit_sdid(view: PrePostView, ridge_policy: float | str = "auto") -> BaselineF
     def demean(z: np.ndarray) -> np.ndarray:
         return _zero_if_dust(z - z.mean(axis=0), z)
 
-    unit_sol = _solve_identity_qp(
-        demean(view.y_pre), demean(view.x_pre), zeta * zeta * view.t0
+    unit_sol = qp.solve(
+        qp.build(demean(view.y_pre), demean(view.x_pre), zeta * zeta * view.t0)
     )
     w = unit_sol.weights
     residual = view.y_pre - view.x_pre @ w
@@ -161,7 +157,7 @@ def fit_sdid(view: PrePostView, ridge_policy: float | str = "auto") -> BaselineF
     # Time weights: rows are donors, columns the pre-treatment periods.
     levels = view.x_pre.T
     target = view.x_post.mean(axis=0)
-    time_sol = _solve_identity_qp(demean(target), demean(levels), 0.0)
+    time_sol = qp.solve(qp.build(demean(target), demean(levels), 0.0))
     lam = time_sol.weights
 
     return BaselineFit(

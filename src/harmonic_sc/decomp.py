@@ -10,12 +10,11 @@ post-period error of a fit can be split exactly into
   behind even with the best weights.
 
 The two add up to the realized error path.  On top of the split, each
-channel of the weight gap gets a computable bound (``channels``), which
-multiplies out to an envelope on the weight-gap term itself.
+channel of the weight gap gets a computable bound, which multiplies out to
+an envelope on the weight-gap term itself.
 
-``decompose`` runs a replication in one pass (see there); the single-fit
-entry points (``ab_decompose``, ``gradient_channels``, ``channels``) run
-the same code on a grid of one.
+``decompose`` runs a replication in one pass (see there); a single fit is
+its grid of one.
 
 Everything here requires the latent truth and is meant for simulation
 studies; none of it runs on observed data alone.
@@ -32,14 +31,9 @@ from .panel import PrePostView, check_levels
 
 __all__ = [
     "LatentPanel",
-    "AbTerms",
-    "ChannelReport",
     "DecompReport",
     "DEFAULT_RHO_GRID",
     "oracle_weights",
-    "ab_decompose",
-    "gradient_channels",
-    "channels",
     "decompose",
 ]
 
@@ -202,22 +196,6 @@ def _forecasts(
     return pi, own
 
 
-@dataclass(frozen=True)
-class AbTerms:
-    """Exact two-way split of a fit's post-period error.
-
-    ``term_a + term_b`` reproduces ``realized_error`` (the treated unit's
-    counterfactual outcome minus the fitted one) up to round-off.
-    """
-
-    term_a: np.ndarray
-    term_b: np.ndarray
-    realized_error: np.ndarray
-    oracle_weights: np.ndarray
-    eta_pre: np.ndarray
-    eta_post: np.ndarray
-
-
 def _split(
     latent: LatentPanel,
     parts: _OracleParts,
@@ -245,39 +223,19 @@ def _split(
     }
 
 
-def ab_decompose(latent: LatentPanel, fit: hsc.HscFit) -> AbTerms:
-    """Split the fit's error into weight-gap and continuation terms.
-
-    The smoothing level, penalty order, forecast rule, and ridge level all
-    come from the fit itself, so the split always describes the estimator
-    that was actually run.
-    """
-    if fit.weights.shape != (latent.n_donors,) or fit.r_pre.shape != (latent.t0,):
-        raise ValueError("fit dimensions do not match the latent panel")
-    cfg = fit.config
-    basis = spectral.spectral_basis(latent.t0, cfg.q)
-    parts = _oracle_parts(latent, basis, oracle_weights(latent, cfg.q, fit.zeta))
-    shrink, _ = spectral.path_gains(basis, (cfg.rho,))
-    _, split = _split(
-        latent, parts, basis, shrink, fit.weights[None], fit.e_pre[:, None],
-        fit.forecaster,
-    )
-    return AbTerms(
-        **{name: value[0] for name, value in split.items()},
-        oracle_weights=parts.weights,
-        eta_pre=parts.eta_pre,
-        eta_post=parts.eta_post,
-    )
-
-
 def _gradients(
     latent: LatentPanel,
     basis: spectral.SpectralBasis,
     match: np.ndarray,
     parts: _OracleParts,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`gradient_channels` at each row of metric gains ``match``:
-    (G, donors) each."""
+    """The three gradient pieces that separate the fitted program from the
+    infeasible one, evaluated at the oracle weights of ``parts``, at each
+    row of metric gains ``match``: (G, donors) each.
+
+    Returned unscaled; half their negative sum is the gradient difference
+    between the feasible objective and the oracle one.
+    """
     t0 = latent.t0
     v = basis.eigenvectors
 
@@ -291,46 +249,6 @@ def _gradients(
     return g1, g2, g3
 
 
-def gradient_channels(
-    latent: LatentPanel, rho: float, q: int, zeta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three gradient pieces that separate the fitted program from the
-    infeasible one, evaluated at the oracle weights.
-
-    Returned unscaled; half their negative sum is the gradient difference
-    between the feasible objective and the oracle one.
-    """
-    basis = spectral.spectral_basis(latent.t0, q)
-    parts = _oracle_parts(latent, basis, oracle_weights(latent, q, zeta))
-    _, match = spectral.path_gains(basis, (rho,))
-    g1, g2, g3 = _gradients(latent, basis, match, parts)
-    return g1[0], g2[0], g3[0]
-
-
-@dataclass(frozen=True)
-class ChannelReport:
-    """Per-channel bounds on the weight gap and their envelope.
-
-    ``a1`` tracks smoothing distortion of the signal mismatch, ``a2`` its
-    leakage through the rough donor paths, ``a3`` the rough mismatch seen
-    through the matching metric.  ``transfer`` is the operator norm that
-    carries weight-space error into the post period; ``envelope`` is their
-    product bound on the weight-gap term.  When the ridge level is zero the
-    curvature matrix may be singular; ``pseudo_inverse`` flags that the
-    rank-truncated inverse was used, and ``condition`` reports the spread of
-    the retained spectrum.
-    """
-
-    a1: float
-    a2: float
-    a3: float
-    q_max_inv_eig: float
-    transfer: float
-    envelope: float
-    pseudo_inverse: bool
-    condition: float
-
-
 def _channel_bounds(
     latent: LatentPanel,
     parts: _OracleParts,
@@ -340,10 +258,10 @@ def _channel_bounds(
     gram: np.ndarray,
     pi: np.ndarray,
 ) -> dict:
-    """The :class:`ChannelReport` fields at each row of metric gains
-    ``match``, program grams ``gram`` (:func:`hsc.programs` on the observed
-    panel, exactly symmetric) and forecast maps ``pi``, one (G,) array per
-    field.  The curvature is ``gram / T0 + zeta^2 I``."""
+    """The channel fields of :class:`DecompReport` at each row of metric
+    gains ``match``, program grams ``gram`` (:func:`hsc.programs` on the
+    observed panel, exactly symmetric) and forecast maps ``pi``, one (G,)
+    array per field.  The curvature is ``gram / T0 + zeta^2 I``."""
     t0 = latent.t0
     view = latent.to_view()
     v = basis.eigenvectors
@@ -375,41 +293,23 @@ def _channel_bounds(
     )
 
 
-def channels(
-    latent: LatentPanel,
-    rho: float,
-    q: int,
-    zeta: float,
-    forecaster: forecast.ComposedForecaster | None = None,
-) -> ChannelReport:
-    """Bound each route by which the fitted weights can drift from the
-    oracle ones, and combine the routes into an envelope.
-
-    The envelope multiplies the summed channel bounds by the transfer norm
-    of the post-period design, so it dominates the weight-gap term of
-    :func:`ab_decompose` whenever both use the same forecaster.  Passing no
-    ``forecaster`` uses the parameter-free constant continuation.
-    """
-    basis = spectral.spectral_basis(latent.t0, q)
-    parts = _oracle_parts(latent, basis, oracle_weights(latent, q, zeta))
-    shrink, match = spectral.path_gains(basis, (rho,))
-    if forecaster is None:
-        forecaster = forecast.fit_composed(
-            "last_constant", basis, np.zeros(basis.n), latent.t_post
-        )
-    view = latent.to_view()
-    _, gram, _, _ = hsc.programs(view.y_pre, view.x_pre, basis, match)
-    pi, _ = _forecasts(forecaster, basis, shrink, latent.t_post)
-    bounds = _channel_bounds(latent, parts, basis, match, zeta, gram, pi)
-    return ChannelReport(**{name: value[0].item() for name, value in bounds.items()})
-
-
 @dataclass(frozen=True)
 class DecompReport:
     """Grid sweep of the error split and channel bounds.
 
     Row ``g`` of every array belongs to ``rho_grid[g]``.  The oracle pieces
     are grid-independent and stored once.
+
+    ``term_a + term_b`` reproduces ``realized_error`` (the treated unit's
+    counterfactual outcome minus the fitted one) up to round-off.  ``a1``
+    tracks smoothing distortion of the signal mismatch, ``a2`` its leakage
+    through the rough donor paths, ``a3`` the rough mismatch seen through
+    the matching metric.  ``transfer`` is the operator norm that carries
+    weight-space error into the post period; ``envelope`` is their product
+    bound on ``term_a``.  When the ridge level is zero the curvature matrix
+    may be singular; ``pseudo_inverse`` flags that the rank-truncated
+    inverse was used, and ``condition`` reports the spread of the retained
+    spectrum.
     """
 
     rho_grid: np.ndarray

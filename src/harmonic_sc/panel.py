@@ -41,27 +41,21 @@ class Panel:
     Parameters
     ----------
     outcomes : ndarray of shape (T0 + Tpost, N0 + 1)
-        Outcome levels; column ``treated_index`` belongs to the treated unit,
-        the remaining columns to the donors.
+        Outcome levels; column 0 belongs to the treated unit, the remaining
+        columns to the donors.
     t0 : int
         Number of pre-treatment periods (the treatment starts at period
         ``t0 + 1`` in 1-based time).
     unit_labels : list of str
-        Column labels; ``unit_labels[treated_index]`` names the treated unit.
+        Column labels; ``unit_labels[0]`` names the treated unit.
     time_labels : list
         Row labels (years, quarters, or plain integers).
-
-    Notes
-    -----
-    The treated column is always stored at index 0; ``treated_index`` exists
-    so callers never hard-code the convention.
     """
 
     outcomes: np.ndarray
     t0: int
     unit_labels: list[str]
     time_labels: list = field(default_factory=list)
-    treated_index: int = 0
 
     def __post_init__(self) -> None:
         y = np.asarray(self.outcomes, dtype=float)
@@ -102,11 +96,7 @@ class Panel:
 
     @property
     def donor_labels(self) -> list[str]:
-        return [
-            lab
-            for j, lab in enumerate(self.unit_labels)
-            if j != self.treated_index
-        ]
+        return list(self.unit_labels[1:])
 
 
 @dataclass(frozen=True)
@@ -147,13 +137,11 @@ def split(panel: Panel) -> PrePostView:
     any arithmetic, so reassembling them reproduces the source exactly.
     """
     y = panel.outcomes
-    j = panel.treated_index
-    donors = [k for k in range(y.shape[1]) if k != j]
     return PrePostView(
-        y_pre=y[: panel.t0, j].copy(),
-        x_pre=y[: panel.t0, donors].copy(),
-        y_post=y[panel.t0 :, j].copy(),
-        x_post=y[panel.t0 :, donors].copy(),
+        y_pre=y[: panel.t0, 0].copy(),
+        x_pre=y[: panel.t0, 1:].copy(),
+        y_post=y[panel.t0 :, 0].copy(),
+        x_post=y[panel.t0 :, 1:].copy(),
     )
 
 

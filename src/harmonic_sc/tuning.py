@@ -35,27 +35,19 @@ class CvExhausted(ValueError):
     """Every candidate failed cross-validation: nothing is left to select."""
 
 
-#: Default grid: 21 equally spaced mixing weights.
-DEFAULT_GRID_SIZE = 21
+def uniform_grid() -> np.ndarray:
+    """The default grid: 21 equally spaced rho values spanning [0, 1]."""
+    return np.linspace(0.0, 1.0, 21)
 
 
-def uniform_grid(n_points: int = DEFAULT_GRID_SIZE) -> np.ndarray:
-    """Equally spaced rho values spanning [0, 1]."""
-    if n_points < 2:
-        raise ValueError(f"need at least 2 grid points, got {n_points}")
-    return np.linspace(0.0, 1.0, n_points)
-
-
-def log_lambda_grid(n_points: int = 23) -> np.ndarray:
+def log_lambda_grid() -> np.ndarray:
     """Grid dense near both endpoints: log-spaced penalty weights mapped back.
 
-    ``n_points - 2`` values of lambda are log-spaced over [1e-3, 1e3] and
-    mapped through ``rho = lambda / (1 + lambda)``; the boundaries 0 and 1
-    are always appended explicitly.
+    21 values of lambda are log-spaced over [1e-3, 1e3] and mapped through
+    ``rho = lambda / (1 + lambda)``; the boundaries 0 and 1 are always
+    appended explicitly, for 23 points.
     """
-    if n_points < 3:
-        raise ValueError(f"need at least 3 grid points, got {n_points}")
-    lam = np.geomspace(1e-3, 1e3, n_points - 2)
+    lam = np.geomspace(1e-3, 1e3, 21)
     return np.unique(np.concatenate([[0.0], lam / (1.0 + lam), [1.0]]))
 
 

@@ -212,29 +212,39 @@ def test_gate_3_error_split_identities():
     grid = decomp.DEFAULT_RHO_GRID
     worst_split = 0.0
     worst_tb = 0.0
+    worst_realized = 0.0
     basis = spectral.spectral_basis(cfg.t0, 1)
     v = basis.eigenvectors
+    shrink, _ = spectral.path_gains(basis, grid)
     for rep in range(1, 101):
         _, latent = mc.simulate_simple(cfg, rep)
         view = latent.to_view()
         zeta = hsc.auto_zeta(view.x_pre, view.t_post)
         rule = rules[rep % len(rules)]
-        for rho in grid:
+        report = decomp.decompose(latent, q=1, rule_kind=rule, zeta=zeta)
+        split_gap = np.abs(report.term_a + report.term_b - report.realized_error)
+        worst_split = max(worst_split, float(np.max(split_gap)))
+        scale = 1.0 + np.max(np.abs(view.y_post))
+        for g, rho in enumerate(grid):
+            # The split must describe the estimator actually run.
             fit = hsc.fit(view, HscConfig(rho=rho, q=1, rule_kind=rule, zeta=zeta))
-            ab = decomp.ab_decompose(latent, fit)
-            split_gap = np.max(np.abs(ab.term_a + ab.term_b - ab.realized_error))
-            worst_split = max(worst_split, float(split_gap))
+            npt.assert_array_equal(report.weights[g], fit.weights)
+            realized_gap = np.abs(
+                report.realized_error[g] - (view.y_post - fit.counterfactual)
+            )
+            worst_realized = max(worst_realized, float(np.max(realized_gap)) / scale)
 
-            (shrink,), _ = spectral.path_gains(basis, (rho,))
-            smoothed = v @ (shrink * (v.T @ ab.eta_pre))
-            direct = ab.eta_post - fit.forecaster.apply(smoothed, latent.t_post)
-            worst_tb = max(worst_tb, float(np.max(np.abs(ab.term_b - direct))))
+            smoothed = v @ (shrink[g] * (v.T @ report.eta_pre))
+            direct = report.eta_post - fit.forecaster.apply(smoothed, latent.t_post)
+            worst_tb = max(worst_tb, float(np.max(np.abs(report.term_b[g] - direct))))
 
     assert worst_split < 1e-10
     assert worst_tb < 1e-9
+    assert worst_realized <= 1e-10
     _report(
         3, "error split identities", started, 120.0,
-        f"split gap {worst_split:.1e}, direct-form gap {worst_tb:.1e}",
+        f"split gap {worst_split:.1e}, direct-form gap {worst_tb:.1e}, "
+        f"realized-error gap {worst_realized:.1e} (relative)",
     )
 
 

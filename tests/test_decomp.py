@@ -109,11 +109,11 @@ def test_oracle_ignores_remainder():
 @pytest.mark.parametrize("rule", ["last_constant", "arima110"])
 def test_split_adds_up(rho, rule):
     latent, _ = make_latent(seed=21)
-    fit = hsc.fit(latent.to_view(), hsc.HscConfig(rho=rho, q=1, rule_kind=rule, zeta=0.3))
-    ab = decomp.ab_decompose(latent, fit)
-    scale = 1.0 + np.max(np.abs(ab.realized_error))
+    report = decomp.decompose(latent, q=1, rule_kind=rule, zeta=0.3, rho_grid=(rho,))
+    scale = 1.0 + np.max(np.abs(report.realized_error))
     npt.assert_allclose(
-        ab.term_a + ab.term_b, ab.realized_error, atol=1e-10 * scale, rtol=0.0
+        report.term_a + report.term_b, report.realized_error,
+        atol=1e-10 * scale, rtol=0.0,
     )
 
 
@@ -122,11 +122,12 @@ def test_weight_gap_term_vanishes_at_oracle_weights():
     # the weight gap is identically zero and the whole error sits in the
     # continuation term.
     latent, _ = make_latent(seed=22, noise=0.0)
-    fit = hsc.fit(latent.to_view(), hsc.HscConfig(rho=1.0, q=1, zeta=0.25))
-    ab = decomp.ab_decompose(latent, fit)
-    npt.assert_array_equal(ab.oracle_weights, fit.weights)
-    npt.assert_array_equal(ab.term_a, np.zeros(latent.t_post))
-    npt.assert_allclose(ab.term_b, ab.realized_error, rtol=0.0, atol=1e-12)
+    report = decomp.decompose(latent, q=1, zeta=0.25, rho_grid=(1.0,))
+    npt.assert_array_equal(report.oracle_weights, report.weights[0])
+    npt.assert_array_equal(report.term_a[0], np.zeros(latent.t_post))
+    npt.assert_allclose(
+        report.term_b[0], report.realized_error[0], rtol=0.0, atol=1e-12
+    )
 
 
 @pytest.mark.parametrize("rule", ["last_constant", "ar"])
@@ -135,21 +136,22 @@ def test_continuation_term_at_full_matching_is_null_gap(rule):
     # rule is fitted on a zero path, and the continuation term collapses to
     # the post-period residual net of the polynomial carry-forward.
     latent, _ = make_latent(seed=23)
-    fit = hsc.fit(latent.to_view(), hsc.HscConfig(rho=1.0, q=1, rule_kind=rule, zeta=0.3))
-    ab = decomp.ab_decompose(latent, fit)
-    npt.assert_allclose(ab.term_b, ab.eta_post, atol=1e-9)
+    report = decomp.decompose(latent, q=1, rule_kind=rule, zeta=0.3, rho_grid=(1.0,))
+    npt.assert_allclose(report.term_b[0], report.eta_post, atol=1e-9)
 
 
 @pytest.mark.parametrize("rho", [0.3, 0.8])
 def test_continuation_term_direct_form(rho):
     latent, _ = make_latent(seed=24)
+    report = decomp.decompose(latent, q=1, zeta=0.3, rho_grid=(rho,))
     fit = hsc.fit(latent.to_view(), hsc.HscConfig(rho=rho, q=1, zeta=0.3))
-    ab = decomp.ab_decompose(latent, fit)
     basis = spectral.spectral_basis(latent.t0, 1)
     v = basis.eigenvectors
     (shrink,), _ = spectral.path_gains(basis, (rho,))
-    smoothed_gap = fit.forecaster.apply(v @ (shrink * (v.T @ ab.eta_pre)), latent.t_post)
-    npt.assert_allclose(ab.term_b, ab.eta_post - smoothed_gap, atol=1e-9)
+    smoothed_gap = fit.forecaster.apply(
+        v @ (shrink * (v.T @ report.eta_pre)), latent.t_post
+    )
+    npt.assert_allclose(report.term_b[0], report.eta_post - smoothed_gap, atol=1e-9)
 
 
 def materialize_map_by_columns(forecaster, basis, shrink, horizon):
@@ -215,10 +217,18 @@ def _objectives(latent, rho, q, zeta):
     return feasible, infeasible
 
 
+def oracle_gradients(latent, rho, q, zeta):
+    """``decomp._gradients`` at one rho, at the oracle weights."""
+    basis = spectral.spectral_basis(latent.t0, q)
+    parts = decomp._oracle_parts(latent, basis, decomp.oracle_weights(latent, q, zeta))
+    _, match = spectral.path_gains(basis, (rho,))
+    return [g[0] for g in decomp._gradients(latent, basis, match, parts)]
+
+
 def test_gradient_channels_against_finite_differences():
     latent, _ = make_latent(seed=31, n_donors=4)
     rho, q, zeta = 0.6, 1, 0.35
-    g1, g2, g3 = decomp.gradient_channels(latent, rho, q, zeta)
+    g1, g2, g3 = oracle_gradients(latent, rho, q, zeta)
     expected = -2.0 * (g1 + g2 + g3)
 
     feasible, infeasible = _objectives(latent, rho, q, zeta)
@@ -237,13 +247,13 @@ def test_gradient_channels_against_finite_differences():
 
 def test_gradient_channels_structural_zeros():
     clean, _ = make_latent(seed=32, noise=0.0)
-    g1, g2, g3 = decomp.gradient_channels(clean, 0.5, 1, 0.3)
+    g1, g2, g3 = oracle_gradients(clean, 0.5, 1, 0.3)
     npt.assert_array_equal(g2, np.zeros(5))
     npt.assert_array_equal(g3, np.zeros(5))
     assert np.any(g1 != 0.0)
 
     noisy, _ = make_latent(seed=33)
-    g1, g2, g3 = decomp.gradient_channels(noisy, 1.0, 1, 0.3)
+    g1, g2, g3 = oracle_gradients(noisy, 1.0, 1, 0.3)
     # At full matching the metric and the projection coincide, closing the
     # first route exactly (up to eigenbasis round-off).
     assert np.max(np.abs(g1)) < 1e-10
@@ -266,22 +276,20 @@ def test_channel_bounds_vanish_for_null_space_signal():
         remainder=0.4 * rng.standard_normal(signal.shape),
         t0=24,
     )
-    for rho in (0.0, 0.4, 0.9, 1.0):
-        report = decomp.channels(latent, rho, 1, zeta=0.5)
-        assert report.a1 <= 1e-10
-        assert report.a2 <= 1e-10
-        assert report.a3 > 1e-3
+    report = decomp.decompose(latent, q=1, zeta=0.5, rho_grid=(0.0, 0.4, 0.9, 1.0))
+    assert np.all(report.a1 <= 1e-10)
+    assert np.all(report.a2 <= 1e-10)
+    assert np.all(report.a3 > 1e-3)
 
 
 def test_curvature_inverse_bounded_by_ridge():
     latent, _ = make_latent(seed=42)
     zeta = 0.5
-    for rho in (0.0, 0.3, 0.7, 1.0):
-        report = decomp.channels(latent, rho, 1, zeta=zeta)
-        assert not report.pseudo_inverse
-        assert report.q_max_inv_eig <= (1.0 + 1e-10) / zeta**2
-        assert report.condition >= 1.0
-        assert report.envelope >= 0.0
+    report = decomp.decompose(latent, q=1, zeta=zeta, rho_grid=(0.0, 0.3, 0.7, 1.0))
+    assert not np.any(report.pseudo_inverse)
+    assert np.all(report.q_max_inv_eig <= (1.0 + 1e-10) / zeta**2)
+    assert np.all(report.condition >= 1.0)
+    assert np.all(report.envelope >= 0.0)
 
 
 def test_zero_ridge_singular_curvature_flagged():
@@ -291,10 +299,10 @@ def test_zero_ridge_singular_curvature_flagged():
         remainder=np.column_stack([latent.remainder, latent.remainder[:, -1]]),
         t0=latent.t0,
     )
-    report = decomp.channels(doubled, 0.6, 1, zeta=0.0)
-    assert report.pseudo_inverse
+    report = decomp.decompose(doubled, q=1, zeta=0.0, rho_grid=(0.6,))
+    assert report.pseudo_inverse[0]
     for value in (report.a1, report.a2, report.a3, report.transfer, report.envelope):
-        assert np.isfinite(value)
+        assert np.isfinite(value[0])
 
 
 @pytest.mark.parametrize("seed", [51, 52, 53])
@@ -380,14 +388,6 @@ def test_decompose_resolves_ridge_once():
     view = latent.to_view()
     report = decomp.decompose(latent, q=1, rho_grid=[0.2, 0.8])
     assert report.zeta == hsc.auto_zeta(view.x_pre, view.t_post)
-
-
-def test_ab_decompose_rejects_mismatched_fit():
-    latent, _ = make_latent(seed=64)
-    other, _ = make_latent(seed=65, n_donors=7)
-    fit = hsc.fit(other.to_view(), hsc.HscConfig(rho=0.5, q=1, zeta=0.3))
-    with pytest.raises(ValueError, match="dimensions"):
-        decomp.ab_decompose(latent, fit)
 
 
 # ---------------------------------------------------------------------------
@@ -502,29 +502,6 @@ def test_stacked_decompose_matches_per_point_reference(q, rule):
     )
 
 
-@pytest.mark.parametrize("q", [1, 2])
-@pytest.mark.parametrize("rule", forecast.RULE_KINDS)
-def test_single_fit_entries_match_per_point_reference(q, rule):
-    # ab_decompose and channels run the stacked code on a grid of one.
-    latent, _ = make_latent(seed=80 + q, t0=40, t_post=5)
-    basis = spectral.spectral_basis(latent.t0, q)
-    parts = decomp._oracle_parts(latent, basis, decomp.oracle_weights(latent, q, 0.3))
-    for rho in (0.0, 0.6, 1.0):
-        fit = hsc.fit(latent.to_view(), hsc.HscConfig(rho, q, rule, zeta=0.3))
-        (shrink,), (match,) = spectral.path_gains(basis, (rho,))
-        pi, _ = reference_materialize_map(fit.forecaster, basis, shrink, latent.t_post)
-        expected = reference_ab_terms(latent, fit, parts, basis, shrink, pi)
-        ab = decomp.ab_decompose(latent, fit)
-        actual = (ab.term_a, ab.term_b, ab.realized_error)
-        for value, reference in zip(actual, expected):
-            tol = 1e-10 * np.max(np.abs(reference))
-            npt.assert_allclose(value, reference, rtol=0.0, atol=tol)
-        report = decomp.channels(latent, rho, q, 0.3, fit.forecaster)
-        bounds = reference_channel_report(latent, basis, match, 0.3, parts, pi)
-        for name, reference in bounds.items():
-            assert getattr(report, name) == pytest.approx(reference, rel=1e-10), name
-
-
 # ---------------------------------------------------------------------------
 # One-pass decomposition against its parts
 
@@ -580,7 +557,7 @@ CLOSE_FIELDS = ("term_a", "term_b", "realized_error", "rmse")
 @pytest.mark.parametrize(
     "seed, zeta, rho_grid",
     [(seed, "auto", None) for seed in range(1, 6)]
-    + [(1, 0.0, None), (2, 0.3, [0.0, 0.45, 0.9])],
+    + [(1, 0.0, None), (2, 0.3, [0.0, 0.45, 0.9]), (3, 0.3, (0.6,))],
 )
 @pytest.mark.parametrize("q", [1, 2])
 @pytest.mark.parametrize("rule", forecast.RULE_KINDS)
@@ -610,7 +587,6 @@ def test_single_fit_entries_reject_bad_zeta(zeta):
     latent, _ = make_latent(seed=90)
     with pytest.raises(ValueError, match="^zeta must be"):
         decomp.oracle_weights(latent, 1, zeta)
-    with pytest.raises(ValueError, match="^zeta must be"):
-        decomp.gradient_channels(latent, 0.5, 1, zeta)
-    with pytest.raises(ValueError, match="^zeta must be"):
-        decomp.channels(latent, 0.5, 1, zeta)
+    if zeta != "auto":
+        with pytest.raises(ValueError, match="^zeta must be"):
+            decomp.decompose(latent, zeta=zeta)

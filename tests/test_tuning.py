@@ -59,7 +59,7 @@ def test_uniform_grid_default():
 
 
 def test_log_lambda_grid_shape_and_bounds():
-    grid = tuning.log_lambda_grid(23)
+    grid = tuning.log_lambda_grid()
     assert grid.size == 23
     assert grid[0] == 0.0 and grid[-1] == 1.0
     assert np.all(np.diff(grid) > 0)
@@ -67,19 +67,14 @@ def test_log_lambda_grid_shape_and_bounds():
 
 def test_log_lambda_grid_contains_balanced_point():
     # lambda = 1 sits at the centre of the log range and maps to rho = 1/2.
-    grid = tuning.log_lambda_grid(23)
+    grid = tuning.log_lambda_grid()
     assert np.any(np.isclose(grid, 0.5))
 
 
 def test_log_lambda_grid_mapping():
-    grid = tuning.log_lambda_grid(5)
-    lam = np.geomspace(1e-3, 1e3, 3)
+    grid = tuning.log_lambda_grid()
+    lam = np.geomspace(1e-3, 1e3, 21)
     assert_allclose(grid[1:-1], lam / (1 + lam))
-
-
-def test_log_lambda_grid_minimum_size():
-    with pytest.raises(ValueError, match="at least 3"):
-        tuning.log_lambda_grid(2)
 
 
 # ---------------------------------------------------------------------------
