@@ -139,11 +139,7 @@ def fit_sdid(view: PrePostView, ridge_policy: float | str = "auto") -> BaselineF
             f"sdid needs at least 3 pre-treatment periods, got {view.t0}"
         )
     hsc.check_zeta(ridge_policy)
-    zeta = (
-        hsc.auto_zeta(view.x_pre, view.t_post)
-        if isinstance(ridge_policy, str)  # "auto", checked above
-        else float(ridge_policy)
-    )
+    zeta = hsc.resolve_zeta(ridge_policy, view.x_pre, view.t_post)
 
     def demean(z: np.ndarray) -> np.ndarray:
         return _zero_if_dust(z - z.mean(axis=0), z)

@@ -22,16 +22,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, baselines, decomp, hsc, mc, qp, spectral, tuning
-from .panel import PanelDataError, load_csv, split
+from . import __version__, baselines, decomp, hsc, mc, tuning
+from .panel import load_csv, split
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-_VALIDATION_ERRORS = (ValueError, PanelDataError, OSError, json.JSONDecodeError)
-#: ``forecast.ForecastError`` (too short a series, say) is a ValueError: exit 1.
-_NUMERICAL_ERRORS = (qp.SolverStall, spectral.EigenSolverError, np.linalg.LinAlgError)
+#: ``PanelDataError``, ``json.JSONDecodeError`` and ``forecast.ForecastError``
+#: (too short a series, say) are ValueErrors: exit 1.
+_VALIDATION_ERRORS = (ValueError, OSError)
 
 
 # ---------------------------------------------------------------------------
@@ -143,76 +143,85 @@ _DEFAULTS = {
 _DESK_REPS = {"grid": 100, "simple": 50}
 
 
-def _add(parser, *names, **kwargs):
-    kwargs.setdefault("default", argparse.SUPPRESS)
-    parser.add_argument(*names, **kwargs)
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The ``harmonic-sc`` parser, and each subcommand's flag names but
+    ``config``: the keys its ``--config`` file may set."""
     parser = argparse.ArgumentParser(
         prog="harmonic-sc",
         description="Synthetic control estimation with a tunable "
         "smoothness-weighted matching metric.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags: dict = {}
 
-    est = sub.add_parser("estimate", help="fit one method on a panel CSV")
-    _add(est, "--panel", help="long-format CSV with columns unit,time,outcome")
-    _add(est, "--treated", help="unit label of the treated series")
-    _add(est, "--t0", type=int, help="number of pre-treatment periods")
-    _add(est, "--method", help="hsc | sc | sc_int | sc_int_trend | diff_sc | sdid")
-    _add(est, "--rho", type=float, help="smoothing level in [0, 1] (hsc only)")
-    _add(est, "--q", type=int, help="penalty order, 1 or 2")
-    _add(est, "--forecaster", help="residual continuation rule (hsc only)")
-    _add(est, "--zeta", help='ridge level: "auto" or a number')
+    def command(name, summary):  # a subcommand's adder of flags
+        p = sub.add_parser(name, help=summary)
+        dests = flags[name] = set()
 
-    cv = sub.add_parser("cv", help="rolling-origin cross-validation on a panel CSV")
-    _add(cv, "--panel")
-    _add(cv, "--treated")
-    _add(cv, "--t0", type=int)
-    _add(cv, "--h", type=int, help="forecast horizon of each fold")
-    _add(cv, "--folds", type=int)
-    _add(cv, "--grid", help="uniform | log_lambda")
-    _add(cv, "--candidates", help="comma list of q:rule pairs")
-    _add(cv, "--zeta")
+        def add(*names, **kwargs):
+            kwargs.setdefault("default", argparse.SUPPRESS)
+            dests.add(p.add_argument(*names, **kwargs).dest)
 
-    sim = sub.add_parser("simulate", help="replicate a simulation design")
-    _add(sim, "--design", help="grid | simple")
-    _add(sim, "--kappa", type=float)
-    _add(sim, "--rho-u", dest="rho_u", type=float)
-    _add(sim, "--reps", type=int)
-    _add(sim, "--methods", help="comma list of method tokens")
-    _add(sim, "--seed", type=int)
-    _add(sim, "--h", type=int, help="cross-validation horizon for hsc tokens")
-    _add(sim, "--folds", type=int)
-    _add(sim, "--threads", type=int, help="worker threads >= 1 (default 1; GIL-bound)")
-    _add(sim, "--t0", type=int, help="override the design's pre-period length")
-    _add(sim, "--tpost", type=int, help="override the post-period length")
-    _add(sim, "--n0", type=int, help="override the donor count")
+        return add
 
-    dec = sub.add_parser(
-        "decompose", help="error anatomy on simulated panels (latent truth)"
-    )
-    _add(dec, "--design", help="must be simple")
-    _add(dec, "--kappa", type=float)
-    _add(dec, "--reps", type=int)
-    _add(dec, "--seed", type=int)
-    _add(dec, "--q", type=int)
-    _add(dec, "--forecaster")
-    _add(dec, "--zeta")
-    _add(dec, "--threads", type=int, help="worker threads, as for simulate")
-    _add(dec, "--t0", type=int)
-    _add(dec, "--tpost", type=int)
-    _add(dec, "--n0", type=int)
+    est = command("estimate", "fit one method on a panel CSV")
+    est("--panel", help="long-format CSV with columns unit,time,outcome")
+    est("--treated", help="unit label of the treated series")
+    est("--t0", type=int, help="number of pre-treatment periods")
+    est("--method", help="hsc | sc | sc_int | sc_int_trend | diff_sc | sdid")
+    est("--rho", type=float, help="smoothing level in [0, 1] (hsc only)")
+    est("--q", type=int, help="penalty order, 1 or 2")
+    est("--forecaster", help="residual continuation rule (hsc only)")
+    est("--zeta", help='ridge level: "auto" or a number')
 
-    for p in (est, cv, sim, dec):
-        _add(p, "--config", help="JSON file supplying any flag; flags override it")
-        _add(p, "--out", help="output directory (created if absent)")
-    return parser
+    cv = command("cv", "rolling-origin cross-validation on a panel CSV")
+    cv("--panel")
+    cv("--treated")
+    cv("--t0", type=int)
+    cv("--h", type=int, help="forecast horizon of each fold")
+    cv("--folds", type=int)
+    cv("--grid", help="uniform | log_lambda")
+    cv("--candidates", help="comma list of q:rule pairs")
+    cv("--zeta")
+
+    sim = command("simulate", "replicate a simulation design")
+    sim("--design", help="grid | simple")
+    sim("--kappa", type=float)
+    sim("--rho-u", dest="rho_u", type=float)
+    sim("--reps", type=int)
+    sim("--methods", help="comma list of method tokens")
+    sim("--seed", type=int)
+    sim("--h", type=int, help="cross-validation horizon for hsc tokens")
+    sim("--folds", type=int)
+    sim("--threads", type=int, help="worker threads >= 1 (default 1; GIL-bound)")
+    sim("--t0", type=int, help="override the design's pre-period length")
+    sim("--tpost", type=int, help="override the post-period length")
+    sim("--n0", type=int, help="override the donor count")
+
+    dec = command("decompose", "error anatomy on simulated panels (latent truth)")
+    dec("--design", help="must be simple")
+    dec("--kappa", type=float)
+    dec("--reps", type=int)
+    dec("--seed", type=int)
+    dec("--q", type=int)
+    dec("--forecaster")
+    dec("--zeta")
+    dec("--threads", type=int, help="worker threads, as for simulate")
+    dec("--t0", type=int)
+    dec("--tpost", type=int)
+    dec("--n0", type=int)
+
+    for add in (est, cv, sim, dec):
+        add("--config", help="JSON file supplying any flag; flags override it")
+        add("--out", help="output directory (created if absent)")
+    for dests in flags.values():
+        dests.discard("config")
+    return parser, flags
 
 
-def _resolve(ns: argparse.Namespace) -> dict:
-    """Defaults <- config file <- explicit flags, in increasing priority."""
+def _resolve(ns: argparse.Namespace, flags: set) -> dict:
+    """Defaults <- config file (keys from ``flags``) <- explicit flags, in
+    increasing priority."""
     explicit = {k: v for k, v in vars(ns).items() if k != "command"}
     resolved = dict(_DEFAULTS[ns.command])
     config_path = explicit.pop("config", None)
@@ -222,6 +231,10 @@ def _resolve(ns: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise ValueError("--config file must hold a JSON object of flags")
         for key, value in loaded.items():
+            if key.replace("-", "_") not in flags:
+                raise ValueError(
+                    f"--config key {key!r} is not a flag of {ns.command}"
+                )
             if not isinstance(value, (str, int, float)):
                 raise ValueError(
                     f"--config value of {key!r} must be a string, number or "
@@ -554,12 +567,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, flags = build_parser()
     ns = parser.parse_args(argv)
     try:
-        resolved = _resolve(ns)
+        resolved = _resolve(ns, flags[ns.command])
         return _COMMANDS[ns.command](resolved)
-    except _NUMERICAL_ERRORS as exc:
+    except hsc.NUMERICAL_FAILURES as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except _VALIDATION_ERRORS as exc:

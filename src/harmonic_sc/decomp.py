@@ -355,20 +355,17 @@ def decompose(
     and applied once (:func:`_forecasts`); the split and channel bounds
     carry a leading grid axis, the curvature taken from the programs' grams.
     """
-    hsc.HscConfig(rho=0.0, q=q, rule_kind=rule_kind, zeta=zeta)  # checks q, rule, zeta
+    hsc.check_candidate(q, rule_kind)
+    hsc.check_zeta(zeta)
     if latent.t0 < q + 2:
         raise ValueError(
             f"need at least q+2 = {q + 2} pre-treatment periods, got {latent.t0}"
         )
     grid = np.asarray(DEFAULT_RHO_GRID if rho_grid is None else rho_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("rho_grid must be a non-empty 1-D array")
-    if np.any(np.diff(grid) <= 0.0):
-        raise ValueError("rho_grid must be strictly increasing")
     basis = spectral.spectral_basis(latent.t0, q)
-    shrink, match = spectral.path_gains(basis, grid)  # checks 0 <= rho <= 1
+    shrink, match = spectral.path_gains(basis, grid)  # checks the grid
     view = latent.to_view()
-    zeta_val = hsc.auto_zeta(view.x_pre, view.t_post) if zeta == "auto" else float(zeta)
+    zeta_val = hsc.resolve_zeta(zeta, view.x_pre, view.t_post)
 
     sig = latent.signal[: latent.t0]
     u, *grid_program = hsc.programs(view.y_pre, view.x_pre, basis, match)

@@ -50,14 +50,8 @@ class HscConfig:
     zeta: float | str = "auto"
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-        spectral._check_order(self.q)
-        if self.rule_kind not in forecast.RULE_KINDS:
-            raise ValueError(
-                f"unknown forecast rule {self.rule_kind!r}; choose from "
-                f"{', '.join(forecast.RULE_KINDS)}"
-            )
+        spectral.check_grid((self.rho,))
+        check_candidate(self.q, self.rule_kind)
         check_zeta(self.zeta)
 
 
@@ -83,6 +77,22 @@ class HscFit:
     solution: qp.QPSolution
 
 
+#: Numerical failures of a weight path.  Callers catch these and nothing
+#: broader, so a bare ``ValueError`` from array code (a bug) propagates.
+NUMERICAL_FAILURES = (qp.SolverStall, spectral.EigenSolverError, np.linalg.LinAlgError)
+
+
+def check_candidate(q, rule_kind) -> None:
+    """Raise ``ValueError`` unless ``q`` is a penalty order (1 or 2) and
+    ``rule_kind`` one of :data:`forecast.RULE_KINDS`."""
+    spectral._check_order(q)
+    if rule_kind not in forecast.RULE_KINDS:
+        raise ValueError(
+            f"unknown forecast rule {rule_kind!r}; choose from "
+            f"{', '.join(forecast.RULE_KINDS)}"
+        )
+
+
 def check_zeta(zeta) -> None:
     """Raise ``ValueError`` unless ``zeta`` is ``"auto"`` or a finite
     nonnegative number."""
@@ -91,6 +101,12 @@ def check_zeta(zeta) -> None:
             raise ValueError(f'zeta must be a number or "auto", got {zeta!r}')
     elif not np.isfinite(zeta) or zeta < 0:
         raise ValueError(f"zeta must be finite and nonnegative, got {zeta}")
+
+
+def resolve_zeta(zeta, x_pre: np.ndarray, t_post: int) -> float:
+    """The ridge strength a checked ``zeta`` names: :func:`auto_zeta` of
+    ``x_pre`` and ``t_post`` for ``"auto"``, else the number itself."""
+    return auto_zeta(x_pre, t_post) if isinstance(zeta, str) else float(zeta)
 
 
 def auto_zeta(x_pre: np.ndarray, t_post: int) -> float:
@@ -172,7 +188,7 @@ def fit_path(
     one program and unstacked results.
     """
     shape = np.shape(rho_grid)
-    shrink, match = spectral.path_gains(basis, rho_grid)
+    shrink, match = spectral.path_gains(basis, np.atleast_1d(rho_grid))
     u, gram, linear, offset = programs(y, x, basis, match.reshape(*shape, -1))
     solution = qp.solve(qp.SimplexQP(gram, linear, offset, float(ridge)), init=init)
     weights = solution.weights.reshape(-1, x.shape[1])
@@ -204,7 +220,7 @@ def fit(view: PrePostView, cfg: HscConfig) -> HscFit:
         )
     t_post = view.y_post.shape[0]
 
-    zeta = auto_zeta(x, t_post) if cfg.zeta == "auto" else float(cfg.zeta)
+    zeta = resolve_zeta(cfg.zeta, x, t_post)
     basis = spectral.spectral_basis(t0, cfg.q)
     solution, e_pre = fit_path(y, x, basis, cfg.rho, zeta * zeta * t0)
     w_hat = solution.weights

@@ -16,12 +16,13 @@ isolation, and results never depend on execution order or worker count.
 
 from __future__ import annotations
 
+import contextlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import baselines, forecast, hsc, qp, spectral, tuning
+from . import baselines, forecast, hsc, tuning
 from .decomp import LatentPanel
 from .panel import Panel
 
@@ -75,14 +76,29 @@ def rep_stream(
     return _generator([master_seed, _milli(kappa), _milli(rho_u), rep, tag])
 
 
+# The grid design's magnitudes (factor innovation variances and AR
+# coefficients, loading sd and clip, unit-effect range) and the most donors
+# the treated unit combines.
+SIGMA_RW2 = 4.0
+PHI_F = 0.5
+SIGMA_ARIMA2 = 4.0
+RHO_S = 0.6
+SIGMA_S2 = 1.0
+PHI_E = 0.25
+LOADING_SD = 0.5
+LOADING_CLIP = 2.0
+ALPHA_RANGE = (5.0, 15.0)
+SUPPORT_SIZE = 8
+
+
 @dataclass(frozen=True)
 class GridDgpConfig:
     """Factor-structure design: three latent factors, frozen cross-section.
 
     ``kappa`` scales the unit-specific integrated disturbance and ``rho_u``
-    sets how much of its innovation is a common shock.  The remaining fields
-    are the study's default magnitudes and sizes, overridable for small test
-    runs.
+    sets how much of its innovation is a common shock.  The sizes default
+    to the study's; the magnitudes are the module constants above, and the
+    treated unit combines ``min(SUPPORT_SIZE, n0)`` donors.
     """
 
     kappa: float
@@ -91,16 +107,6 @@ class GridDgpConfig:
     t0: int = 200
     t_post: int = 20
     n0: int = 50
-    sigma_rw2: float = 4.0
-    phi_f: float = 0.5
-    sigma_arima2: float = 4.0
-    rho_s: float = 0.6
-    sigma_s2: float = 1.0
-    phi_e: float = 0.25
-    loading_sd: float = 0.5
-    loading_clip: float = 2.0
-    alpha_range: tuple = (5.0, 15.0)
-    support_size: int = 8
 
     def __post_init__(self) -> None:
         if self.kappa < 0.0:
@@ -109,10 +115,6 @@ class GridDgpConfig:
             raise ValueError("rho_u must lie in [0, 1]")
         if min(self.t0, self.t_post) < 1 or self.n0 < 2:
             raise ValueError("panel dimensions too small")
-        if not 1 <= self.support_size <= self.n0:
-            raise ValueError("support_size must lie in [1, n0]")
-        if abs(self.phi_e) >= 1.0 or abs(self.rho_s) >= 1.0:
-            raise ValueError("autoregressive coefficients must be inside (-1, 1)")
 
 
 @dataclass(frozen=True)
@@ -171,15 +173,30 @@ def _grid_cross_section(cfg: GridDgpConfig):
     fixed; changing it would silently re-randomize every study.
     """
     rng = frozen_stream(cfg.master_seed)
-    lam = _truncated_normal(rng, (cfg.n0, 3), cfg.loading_sd, cfg.loading_clip)
-    support = np.sort(rng.choice(cfg.n0, size=cfg.support_size, replace=False))
-    w_star = rng.dirichlet(np.ones(cfg.support_size))
-    lo, hi = cfg.alpha_range
-    alpha_donors = rng.uniform(lo, hi, cfg.n0)
+    lam = _truncated_normal(rng, (cfg.n0, 3), LOADING_SD, LOADING_CLIP)
+    size = min(SUPPORT_SIZE, cfg.n0)
+    support = np.sort(rng.choice(cfg.n0, size=size, replace=False))
+    w_star = rng.dirichlet(np.ones(size))
+    alpha_donors = rng.uniform(*ALPHA_RANGE, cfg.n0)
     lam_treated = w_star @ lam[support]
     loadings = np.vstack([lam_treated, lam])
     alpha = np.concatenate([[0.0], alpha_donors])
     return loadings, alpha, support, w_star
+
+
+def _panels(signal, remainder, t0: int) -> tuple[Panel, LatentPanel]:
+    """The simulated panel (treated unit first, then ``donor_01``...; times
+    1..T) and its latent split."""
+    latent = LatentPanel(signal=signal, remainder=remainder, t0=t0)
+    t_total, n_units = signal.shape
+    labels = ["treated"] + [f"donor_{j:02d}" for j in range(1, n_units)]
+    panel = Panel(
+        outcomes=latent.observed,
+        t0=t0,
+        unit_labels=labels,
+        time_labels=list(range(1, t_total + 1)),
+    )
+    return panel, latent
 
 
 def simulate_grid(cfg: GridDgpConfig, rep: int) -> tuple[Panel, LatentPanel]:
@@ -198,38 +215,25 @@ def simulate_grid(cfg: GridDgpConfig, rep: int) -> tuple[Panel, LatentPanel]:
 
     rng_f = rep_stream(*key, "factors")
     factors = np.empty((t_total, 3))
-    factors[:, 0] = np.cumsum(rng_f.normal(0.0, np.sqrt(cfg.sigma_rw2), t_total))
-    diffs = _ar1_path(
-        rng_f.normal(0.0, np.sqrt(cfg.sigma_arima2), t_total), cfg.phi_f, 0.0
-    )
+    factors[:, 0] = np.cumsum(rng_f.normal(0.0, np.sqrt(SIGMA_RW2), t_total))
+    diffs = _ar1_path(rng_f.normal(0.0, np.sqrt(SIGMA_ARIMA2), t_total), PHI_F, 0.0)
     factors[:, 1] = np.cumsum(diffs)
-    stationary_sd = np.sqrt(cfg.sigma_s2 / (1.0 - cfg.rho_s**2))
-    init = rng_f.normal(0.0, stationary_sd)
-    factors[:, 2] = _ar1_path(
-        rng_f.normal(0.0, np.sqrt(cfg.sigma_s2), t_total), cfg.rho_s, init
-    )
+    init = rng_f.normal(0.0, np.sqrt(SIGMA_S2 / (1.0 - RHO_S**2)))
+    innov = rng_f.normal(0.0, np.sqrt(SIGMA_S2), t_total)
+    factors[:, 2] = _ar1_path(innov, RHO_S, init)
 
     rng_e = rep_stream(*key, "trend")
-    innov_sd = np.sqrt(1.0 - cfg.phi_e**2)
+    innov_sd = np.sqrt(1.0 - PHI_E**2)
     common = rng_e.normal(0.0, innov_sd, t_total)
     own = rng_e.normal(0.0, innov_sd, (t_total, n_units))
     mixed = np.sqrt(cfg.rho_u) * common[:, None] + np.sqrt(1.0 - cfg.rho_u) * own
-    trend = np.cumsum(_ar1_path(mixed, cfg.phi_e, np.zeros(n_units)), axis=0)
+    trend = np.cumsum(_ar1_path(mixed, PHI_E, np.zeros(n_units)), axis=0)
 
     noise = rep_stream(*key, "noise").normal(0.0, 1.0, (t_total, n_units))
     delta = rep_stream(*key, "time_effects").normal(0.0, 1.0, t_total)
 
     signal = factors @ loadings.T + alpha[None, :] + delta[:, None]
-    remainder = cfg.kappa * trend + noise
-    latent = LatentPanel(signal=signal, remainder=remainder, t0=cfg.t0)
-    labels = ["treated"] + [f"donor_{j:02d}" for j in range(1, n_units)]
-    panel = Panel(
-        outcomes=latent.observed,
-        t0=cfg.t0,
-        unit_labels=labels,
-        time_labels=list(range(1, t_total + 1)),
-    )
-    return panel, latent
+    return _panels(signal, cfg.kappa * trend + noise, cfg.t0)
 
 
 def simulate_simple(cfg: SimpleDgpConfig, rep: int) -> tuple[Panel, LatentPanel]:
@@ -247,18 +251,7 @@ def simulate_simple(cfg: SimpleDgpConfig, rep: int) -> tuple[Panel, LatentPanel]
     factor = np.cumsum(rng.normal(0.0, 1.0, t_total))
     walks = np.cumsum(rng.normal(0.0, 1.0, (t_total, n_units)), axis=0)
     noise = rng.normal(0.0, cfg.noise_sd, (t_total, n_units))
-
-    signal = np.outer(factor, loadings)
-    remainder = cfg.kappa * walks + noise
-    latent = LatentPanel(signal=signal, remainder=remainder, t0=cfg.t0)
-    labels = ["treated"] + [f"donor_{j:02d}" for j in range(1, n_units)]
-    panel = Panel(
-        outcomes=latent.observed,
-        t0=cfg.t0,
-        unit_labels=labels,
-        time_labels=list(range(1, t_total + 1)),
-    )
-    return panel, latent
+    return _panels(np.outer(factor, loadings), cfg.kappa * walks + noise, cfg.t0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +269,9 @@ def parse_method(token: str) -> tuple[str, int, str]:
         return token, 0, ""
     parts = token.split(":")
     if len(parts) == 3 and parts[0] == "hsc":
-        try:
-            q = int(parts[1])
-        except ValueError:
-            q = -1
-        if q in (1, 2) and parts[2] in forecast.RULE_KINDS:
-            return "hsc", q, parts[2]
+        with contextlib.suppress(ValueError):
+            hsc.check_candidate(int(parts[1]), parts[2])
+            return "hsc", int(parts[1]), parts[2]
     raise ValueError(
         f"unknown method token {token!r}; expected one of "
         f"{sorted(baselines.METHODS)} or hsc:<q>:<rule>"
@@ -292,11 +282,7 @@ def parse_method(token: str) -> tuple[str, int, str]:
 #: else, a bare ``ValueError`` from array code included, is a bug and
 #: propagates.
 _NUMERICAL_FAILURES = (
-    qp.SolverStall,
-    spectral.EigenSolverError,
-    np.linalg.LinAlgError,
-    forecast.ForecastError,
-    tuning.CvExhausted,
+    *hsc.NUMERICAL_FAILURES, forecast.ForecastError, tuning.CvExhausted
 )
 
 
@@ -373,14 +359,13 @@ def run_study(
     reps: int,
     h: int = 1,
     folds: int = 10,
-    rho_grid=None,
     threads: int = 1,
 ) -> MetricTable:
     """Replicate one scenario and aggregate per-method error metrics.
 
     Smoothing-level selection for ``hsc:*`` tokens runs rolling-origin
     cross-validation inside every replication (horizon ``h``, ``folds``
-    folds, 21-point uniform grid unless overridden).  Replications where an
+    folds, the 21-point :func:`tuning.uniform_grid`).  Replications where an
     estimator fails numerically (``_NUMERICAL_FAILURES``) are excluded from
     that estimator's metrics and counted in ``failures`` — never silently
     dropped; any other exception propagates.  Results are keyed by the
@@ -402,7 +387,12 @@ def run_study(
         raise ValueError("reps must be >= 1")
     tokens = tuple(methods)
     parsed = [parse_method(token) for token in tokens]
-    grid = tuning.uniform_grid() if rho_grid is None else np.asarray(rho_grid, float)
+    plans = [
+        tuning.CvPlan(h=h, folds=folds, candidates=((q, rule),))
+        if family == "hsc"
+        else None
+        for family, q, rule in parsed
+    ]
 
     def one_rep(rep: int):
         _, latent = simulate(cfg, rep)
@@ -410,14 +400,7 @@ def run_study(
         errs = np.full((len(tokens), cfg.t_post), np.nan)
         rhos = np.full(len(tokens), np.nan)
         fails = np.zeros(len(tokens), dtype=bool)
-        for m, (family, q, rule) in enumerate(parsed):
-            plan = (
-                tuning.CvPlan(
-                    h=h, folds=folds, rho_grid=grid, candidates=((q, rule),)
-                )
-                if family == "hsc"
-                else None
-            )
+        for m, ((family, q, rule), plan) in enumerate(zip(parsed, plans)):
             try:
                 counterfactual, rho_hat = _run_one_method(
                     view, family, q, rule, plan

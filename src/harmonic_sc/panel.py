@@ -220,10 +220,6 @@ def load_csv(path: str, treated_label: str, t0: int) -> Panel:
 
     time_seq = times_by_unit[units[0]]
     time_set = set(time_seq)
-    if len(time_set) != len(time_seq):
-        # A repeated time for one unit without a repeated (unit, time) pair
-        # cannot happen (caught above), but keep the guard explicit.
-        raise PanelDataError("repeated time label within a unit")
     for unit in units:
         seq = times_by_unit[unit]
         if seq != time_seq:

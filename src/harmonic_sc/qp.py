@@ -38,6 +38,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+#: The stationarity target of :func:`solve`, relative to each program's scale.
+#: A test seam, read at call time: the stall tests set it to 0.
+TOL = 1e-10
+
+
 class SolverStall(RuntimeError):
     """The active-set rounds ended short of a certified point.
 
@@ -251,7 +256,6 @@ def _ratio_step(gram, linear, ridge, r: int, x: np.ndarray, face: np.ndarray):
 
 def solve(
     problem: SimplexQP,
-    tol: float = 1e-10,
     init: np.ndarray | None = None,
     trace: list | None = None,
 ) -> QPSolution:
@@ -268,11 +272,11 @@ def solve(
     without its steepest coordinate.  Runs the polish rounds finish report
     ``iterations == 0``.
 
+    A run stops when its relative KKT residual drops below
+    ``TOL * (1 + ||gradient|| / scale)``.
+
     Parameters
     ----------
-    tol : float
-        Stationarity target; a run stops when the relative KKT residual
-        drops below ``tol * (1 + ||gradient|| / scale)``.
     init : ndarray, optional
         A start on the simplex (nonnegative, summing to 1 within 1e-12)
         per program, shaped like ``problem.linear``.  By default each
@@ -358,7 +362,7 @@ def solve(
         p[rows[polished]] = z[polished] / total[polished]
         f_p, grad_p = _evaluate(gram, linear, offset, ridge, p)
         kkt_p, support, entering = _stationarity(p, grad_p, scale)
-        target = tol * (1.0 + np.sqrt(np.einsum("gi,gi->g", grad_p, grad_p)) / scale)
+        target = TOL * (1.0 + np.sqrt(np.einsum("gi,gi->g", grad_p, grad_p)) / scale)
         moved = np.zeros(len(x), dtype=bool)
         moved[rows] = polished
         done = moved & (f_p <= f + noise) & (kkt_p <= target)
@@ -416,7 +420,7 @@ def solve(
         where = f" in program {g} of {len(x)}" if stacked else ""
         raise SolverStall(
             f"no certified point after {steps[g]} ratio steps{where} "
-            f"(relative kkt residual {kkt[g]:.3e}, tol {tol:.1e})",
+            f"(relative kkt residual {kkt[g]:.3e}, tol {TOL:.1e})",
             solution,
         )
     return solution

@@ -176,6 +176,22 @@ def spectral_basis(n: int, q: int) -> SpectralBasis:
     return eigendecompose(penalty_matrix(n, q), q)
 
 
+def check_grid(rho_grid) -> np.ndarray:
+    """``rho_grid`` as a float vector; ``ValueError`` unless it is nonempty,
+    inside [0, 1] (NaN is outside) and strictly increasing.  The one check
+    of a rho: :func:`path_gains` makes it, and so do ``HscConfig`` and
+    ``CvPlan`` at construction."""
+    grid = np.asarray(rho_grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 1:
+        raise ValueError("rho_grid must be a nonempty vector")
+    inside = (grid >= 0.0) & (grid <= 1.0)
+    if not inside.all():
+        raise ValueError(f"rho must lie in [0, 1], got {grid[~inside][0]}")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("rho_grid must be strictly increasing")
+    return grid
+
+
 def path_gains(basis: SpectralBasis, rho_grid) -> tuple[np.ndarray, np.ndarray]:
     """Gains of the smoother S and the matching metric W along ``rho_grid``:
     one row per rho, one column per eigenvalue mu of ``basis``.
@@ -196,12 +212,9 @@ def path_gains(basis: SpectralBasis, rho_grid) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     ValueError
-        If a rho is NaN or outside [0, 1].
+        If ``rho_grid`` fails :func:`check_grid`.
     """
-    rho = np.asarray(rho_grid, dtype=float).reshape(-1, 1)
-    inside = (rho >= 0.0) & (rho <= 1.0)  # NaN is outside
-    if not inside.all():
-        raise ValueError(f"rho must lie in [0, 1], got {rho[~inside][0]}")
+    rho = check_grid(rho_grid)[:, None]
     q = basis.q
     mu = basis.eigenvalues[q:]
     keep = 1.0 - rho

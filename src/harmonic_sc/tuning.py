@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from harmonic_sc import forecast, hsc, qp, spectral
+from harmonic_sc import forecast, hsc, spectral
 from harmonic_sc.panel import check_levels
 
 
@@ -90,23 +90,11 @@ class CvPlan:
             raise ValueError(f"horizon must be positive, got {self.h}")
         if self.folds < 1:
             raise ValueError(f"fold count must be positive, got {self.folds}")
-        grid = np.asarray(self.rho_grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 1:
-            raise ValueError("rho_grid must be a nonempty vector")
-        if not np.all(np.isfinite(grid)):
-            raise ValueError(f"rho_grid values must be finite, got {grid}")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("rho_grid must be strictly increasing")
-        if grid[0] < 0.0 or grid[-1] > 1.0:
-            raise ValueError("rho_grid values must lie in [0, 1]")
+        grid = spectral.check_grid(self.rho_grid)
         if not self.candidates:
             raise ValueError("need at least one (q, rule_kind) candidate")
         for q, rule_kind in self.candidates:
-            spectral._check_order(q)
-            if rule_kind not in forecast.RULE_KINDS:
-                raise ValueError(
-                    f"unknown forecast rule {rule_kind!r} in candidates"
-                )
+            hsc.check_candidate(q, rule_kind)
         hsc.check_zeta(self.zeta)
         object.__setattr__(self, "rho_grid", grid)
         object.__setattr__(
@@ -135,9 +123,6 @@ class CvResult:
     excluded: tuple
 
 
-#: Numerical failures of a weight path that exclude every candidate of its q
-#: from CV instead of aborting the run; anything else is a bug and propagates.
-_CV_FAILURES = (qp.SolverStall, spectral.EigenSolverError, np.linalg.LinAlgError)
 #: Failures of a forecast rule's fit that exclude its candidate.  Narrower
 #: than the weights' catch: a bare ``ValueError`` from array code is a bug.
 _FORECAST_FAILURES = (forecast.ForecastError, np.linalg.LinAlgError)
@@ -188,17 +173,14 @@ def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResu
             y_tr, x_tr = y_pre[:k], x_pre[:k]
             y_val, x_val = y_pre[k : k + plan.h], x_pre[k : k + plan.h]
             try:
-                zeta = (
-                    hsc.auto_zeta(x_tr, plan.h)
-                    if plan.zeta == "auto"
-                    else float(plan.zeta)
-                )
+                zeta = hsc.resolve_zeta(plan.zeta, x_tr, plan.h)
                 basis = spectral.spectral_basis(k, q)
                 solution, smooth = hsc.fit_path(
                     y_tr, x_tr, basis, grid, zeta * zeta * k, init=start
                 )
-            except _CV_FAILURES as exc:
-                # The weights failed: every rule of this q loses the fold.
+            except hsc.NUMERICAL_FAILURES as exc:
+                # The weights failed: every rule of this q loses the fold,
+                # not the run.
                 for ci in live:
                     failed[ci] = (k, str(exc))
                 continue

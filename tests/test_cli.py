@@ -309,6 +309,16 @@ def test_config_value_of_wrong_json_type_exits(tmp_path, capsys, key, value):
     assert repr(key) in capsys.readouterr().err
 
 
+def test_config_key_that_is_no_flag_exits(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tpsot": 3}))
+    code = cli.main(["simulate", "--design", "simple", "--kappa", "0", "--reps", "1",
+                     "--config", str(config), "--out", str(tmp_path / "s")])
+    assert code == 1
+    assert "'tpsot'" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -377,6 +387,15 @@ def test_cli_and_study_share_the_baseline_registry(tmp_path, monkeypatch):
     table = mc.run_study("simple", cfg, ("sdid",), reps=2)
     assert calls == [10, 16, 16]
     assert table.failures["sdid"] == 0
+
+
+def test_simulate_grid_with_fewer_than_eight_donors(tmp_path):
+    out = tmp_path / "g"
+    code = cli.main(["simulate", "--design", "grid", "--kappa", "1", "--reps", "1",
+                     "--t0", "20", "--tpost", "3", "--n0", "5", "--folds", "2",
+                     "--out", str(out)])
+    assert code == 0
+    assert len(read_rows(out / "errors.csv")) == 2 * 1 * 3  # methods x reps x periods
 
 
 def test_simulate_unknown_method_exit(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from harmonic_sc import hsc, mc
+from harmonic_sc import hsc, mc, tuning
 
 
 def small_grid_cfg(**overrides):
@@ -13,7 +13,6 @@ def small_grid_cfg(**overrides):
         t0=30,
         t_post=4,
         n0=6,
-        support_size=3,
     )
     base.update(overrides)
     return mc.GridDgpConfig(**base)
@@ -34,8 +33,6 @@ def test_config_validation():
         mc.GridDgpConfig(kappa=-0.1, rho_u=0.0)
     with pytest.raises(ValueError, match="rho_u"):
         mc.GridDgpConfig(kappa=0.0, rho_u=1.2)
-    with pytest.raises(ValueError, match="support_size"):
-        small_grid_cfg(support_size=9)
     with pytest.raises(ValueError, match="kappa"):
         mc.SimpleDgpConfig(kappa=-1.0)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -108,29 +105,37 @@ def test_grid_rejects_bad_rep():
 
 
 def test_grid_cross_section_frozen_across_reps_and_cells():
-    cfg_a = small_grid_cfg(kappa=0.0, rho_u=0.0)
-    cfg_b = small_grid_cfg(kappa=2.0, rho_u=1.0)
+    # With 12 donors the support is a random 8 of them, so equal supports
+    # show the draw is frozen, not that every donor was taken.
+    cfg_a = small_grid_cfg(kappa=0.0, rho_u=0.0, n0=12)
+    cfg_b = small_grid_cfg(kappa=2.0, rho_u=1.0, n0=12)
     load_a, alpha_a, support_a, w_a = mc._grid_cross_section(cfg_a)
     load_b, alpha_b, support_b, w_b = mc._grid_cross_section(cfg_b)
+    assert support_a.size == 8
     npt.assert_array_equal(load_a, load_b)
     npt.assert_array_equal(alpha_a, alpha_b)
     npt.assert_array_equal(support_a, support_b)
     npt.assert_array_equal(w_a, w_b)
-    load_c, _, _, _ = mc._grid_cross_section(small_grid_cfg(master_seed=43))
+    load_c, _, support_c, _ = mc._grid_cross_section(
+        small_grid_cfg(master_seed=43, n0=12)
+    )
     assert np.any(load_a != load_c)
+    assert np.any(support_a != support_c)
 
 
 def test_grid_cross_section_structure():
-    cfg = small_grid_cfg()
-    loadings, alpha, support, w_star = mc._grid_cross_section(cfg)
-    assert loadings.shape == (cfg.n0 + 1, 3)
-    assert np.max(np.abs(loadings[1:])) <= cfg.loading_clip
-    npt.assert_allclose(loadings[0], w_star @ loadings[1:][support], atol=1e-15)
-    assert alpha[0] == 0.0
-    assert np.all((alpha[1:] >= 5.0) & (alpha[1:] <= 15.0))
-    assert np.all(w_star > 0.0)
-    npt.assert_allclose(w_star.sum(), 1.0, rtol=1e-12)
-    assert support.size == np.unique(support).size == 3
+    # The treated unit combines min(8, n0) donors: all of them below 8.
+    for n0, size in ((5, 5), (12, 8)):
+        cfg = small_grid_cfg(n0=n0)
+        loadings, alpha, support, w_star = mc._grid_cross_section(cfg)
+        assert loadings.shape == (cfg.n0 + 1, 3)
+        assert np.max(np.abs(loadings[1:])) <= mc.LOADING_CLIP
+        npt.assert_allclose(loadings[0], w_star @ loadings[1:][support], atol=1e-15)
+        assert alpha[0] == 0.0
+        assert np.all((alpha[1:] >= 5.0) & (alpha[1:] <= 15.0))
+        assert np.all(w_star > 0.0)
+        npt.assert_allclose(w_star.sum(), 1.0, rtol=1e-12)
+        assert support.size == np.unique(support).size == size
 
 
 def test_grid_kappa_zero_remainder_is_reconstructable_noise():
@@ -160,11 +165,11 @@ def test_grid_full_mixing_gives_common_trend():
 def test_trend_innovation_variance_convention():
     cfg = small_grid_cfg(rho_u=0.5)
     rng = mc.rep_stream(cfg.master_seed, cfg.kappa, cfg.rho_u, 1, "trend")
-    sd = np.sqrt(1.0 - cfg.phi_e**2)
+    sd = np.sqrt(1.0 - mc.PHI_E**2)
     common = rng.normal(0.0, sd, 100_000)
     own = rng.normal(0.0, sd, 100_000)
     mixed = np.sqrt(0.5) * common + np.sqrt(0.5) * own
-    target = 1.0 - cfg.phi_e**2
+    target = 1.0 - mc.PHI_E**2
     assert abs(np.var(mixed) - target) / target < 0.02
 
 
@@ -199,7 +204,6 @@ def study_kwargs(**overrides):
         methods=("sc", "hsc:1:last_constant"),
         reps=4,
         folds=3,
-        rho_grid=np.array([0.0, 0.5, 1.0]),
     )
     base.update(overrides)
     return base
@@ -238,7 +242,7 @@ def test_run_study_records_rho_hat_on_grid():
     table = mc.run_study(**study_kwargs())
     samples = table.rho_hat_samples["hsc:1:last_constant"]
     assert samples.shape == (4,)
-    assert np.all(np.isin(samples, [0.0, 0.5, 1.0]))
+    assert np.all(np.isin(samples, tuning.uniform_grid()))
 
 
 def test_run_study_counts_failures():
@@ -252,7 +256,6 @@ def test_run_study_counts_failures():
         methods=("sc", "hsc:1:hamilton"),
         reps=3,
         folds=2,
-        rho_grid=np.array([0.0, 1.0]),
     )
     assert table.failures["hsc:1:hamilton"] == 3
     assert np.all(np.isnan(table.errors["hsc:1:hamilton"]))
@@ -285,14 +288,13 @@ def test_run_study_validates_inputs():
 
 
 def test_run_study_grid_design_smoke():
-    cfg = small_grid_cfg(t0=20, t_post=3, n0=5, support_size=2)
+    cfg = small_grid_cfg(t0=20, t_post=3, n0=5)
     table = mc.run_study(
         design="grid",
         cfg=cfg,
         methods=("sc_int", "hsc:1:last_constant"),
         reps=2,
         folds=2,
-        rho_grid=np.array([0.0, 1.0]),
     )
     assert table.kappa == cfg.kappa and table.rho_u == cfg.rho_u
     assert table.errors["sc_int"].shape == (2, 3)

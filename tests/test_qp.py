@@ -395,8 +395,9 @@ def test_ridge_programs_never_call_svd(monkeypatch):
         qp.solve(problem, init=np.roll(cold.weights, 1))
         # An unreachable tolerance also runs the ratio steps until the run
         # stalls.
-        with contextlib.suppress(qp.SolverStall):
-            qp.solve(problem, tol=0.0)
+        with monkeypatch.context() as patch, contextlib.suppress(qp.SolverStall):
+            patch.setattr(qp, "TOL", 0.0)
+            qp.solve(problem)
 
 
 def test_numerically_singular_ridge_face_falls_back_to_lstsq(monkeypatch):
@@ -651,7 +652,7 @@ def test_solution_is_clean_simplex_point():
 
 def test_solution_satisfies_reported_kkt():
     problem = random_instance(61, n_donors=5, ridge=0.2)
-    sol = qp.solve(problem, tol=1e-10)
+    sol = qp.solve(problem)
     grad = evaluate(problem, sol.weights)[1]
     active = sol.weights > 0
     nu = grad[active].mean()
@@ -661,12 +662,13 @@ def test_solution_satisfies_reported_kkt():
     assert resid <= 1e-10 * (1.0 + np.linalg.norm(grad)) + 1e-15
 
 
-def test_stall_raises_with_best_iterate():
+def test_stall_raises_with_best_iterate(monkeypatch):
     # A zero tolerance is out of reach for any polish, so the run ends in
     # a ratio step that cannot lower the objective.
     problem = random_instance(71, n_obs=40, n_donors=10)
+    monkeypatch.setattr(qp, "TOL", 0.0)
     with pytest.raises(qp.SolverStall) as excinfo:
-        qp.solve(problem, tol=0.0)
+        qp.solve(problem)
     best = excinfo.value.solution
     assert best.weights.min() >= 0.0
     assert best.weights.sum() == pytest.approx(1.0, abs=1e-10)
@@ -675,7 +677,7 @@ def test_stall_raises_with_best_iterate():
     assert np.isfinite(best.kkt_residual)
 
 
-def test_stall_in_a_stack_attaches_every_program():
+def test_stall_in_a_stack_attaches_every_program(monkeypatch):
     # An unreachable tolerance stalls every program of a stack; the stall
     # names one and carries each program's best point, on the simplex.
     programs = [random_instance(71 + s, n_obs=40, n_donors=10) for s in range(3)]
@@ -687,8 +689,9 @@ def test_stall_in_a_stack_attaches_every_program():
     )
     with pytest.raises(ValueError, match="init must be a point of the 10-weight"):
         qp.solve(stack, init=np.full(10, 0.1))  # one start for three programs
+    monkeypatch.setattr(qp, "TOL", 0.0)
     with pytest.raises(qp.SolverStall, match="in program 0 of 3") as excinfo:
-        qp.solve(stack, tol=0.0)
+        qp.solve(stack)
     best = excinfo.value.solution
     assert best.weights.shape == (3, 10)
     np.testing.assert_allclose(best.weights.sum(axis=1), 1.0, atol=1e-10)

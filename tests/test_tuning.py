@@ -97,9 +97,9 @@ def test_plan_rejects_bad_grids():
 
 @pytest.mark.parametrize("grid", [[np.nan], [0.0, np.nan, 1.0]])
 def test_plan_rejects_nan_grid(grid):
-    # Every comparison with NaN is False, so the order and range checks
-    # alone let a NaN through to the first fold's solve.
-    with pytest.raises(ValueError, match="rho_grid values must be finite"):
+    # Every comparison with NaN is False, so the range check must count a
+    # NaN as outside [0, 1], or it reaches the first fold's solve.
+    with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\], got nan"):
         tuning.CvPlan(rho_grid=np.array(grid))
 
 
