@@ -29,8 +29,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-#: ``PanelDataError``, ``json.JSONDecodeError`` and ``forecast.ForecastError``
-#: (too short a series, say) are ValueErrors: exit 1.
+#: ``PanelDataError`` and ``forecast.ForecastError`` (too short a series, say)
+#: are ValueErrors: exit 1.
 _VALIDATION_ERRORS = (ValueError, OSError)
 
 
@@ -145,7 +145,7 @@ _DESK_REPS = {"grid": 100, "simple": 50}
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The ``harmonic-sc`` parser, and each subcommand's flag names but
-    ``config``: the keys its ``--config`` file may set."""
+    ``config``, the keys its ``--config`` file may set, with their types."""
     parser = argparse.ArgumentParser(
         prog="harmonic-sc",
         description="Synthetic control estimation with a tunable "
@@ -156,11 +156,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     def command(name, summary):  # a subcommand's adder of flags
         p = sub.add_parser(name, help=summary)
-        dests = flags[name] = set()
+        dests = flags[name] = {}
 
         def add(*names, **kwargs):
             kwargs.setdefault("default", argparse.SUPPRESS)
-            dests.add(p.add_argument(*names, **kwargs).dest)
+            action = p.add_argument(*names, **kwargs)
+            dests[action.dest] = action.type
 
         return add
 
@@ -215,23 +216,27 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         add("--config", help="JSON file supplying any flag; flags override it")
         add("--out", help="output directory (created if absent)")
     for dests in flags.values():
-        dests.discard("config")
+        del dests["config"]
     return parser, flags
 
 
-def _resolve(ns: argparse.Namespace, flags: set) -> dict:
+def _resolve(ns: argparse.Namespace, flags: dict) -> dict:
     """Defaults <- config file (keys from ``flags``) <- explicit flags, in
-    increasing priority."""
+    increasing priority.  A config value must read as its flag's type."""
     explicit = {k: v for k, v in vars(ns).items() if k != "command"}
     resolved = dict(_DEFAULTS[ns.command])
     config_path = explicit.pop("config", None)
     if config_path is not None:
         with open(config_path, encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"--config file {config_path}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ValueError("--config file must hold a JSON object of flags")
         for key, value in loaded.items():
-            if key.replace("-", "_") not in flags:
+            dest = key.replace("-", "_")
+            if dest not in flags:
                 raise ValueError(
                     f"--config key {key!r} is not a flag of {ns.command}"
                 )
@@ -240,7 +245,9 @@ def _resolve(ns: argparse.Namespace, flags: set) -> dict:
                     f"--config value of {key!r} must be a string, number or "
                     f"boolean, got {json.dumps(value)}"
                 )
-            resolved[key.replace("-", "_")] = value
+            if flags[dest] is not None:
+                _number(flags[dest], value, f"--config value of {key!r}")
+            resolved[dest] = value
     resolved.update(explicit)
     resolved["command"] = ns.command
     return resolved
@@ -253,10 +260,18 @@ def _require(resolved: dict, *keys) -> None:
         raise ValueError(f"missing required flags: {flags}")
 
 
+def _number(kind, value, name: str):
+    """``kind(value)`` for ``kind`` int or float, or a ``ValueError`` naming
+    the flag or config key ``name`` that the value came from."""
+    try:
+        return kind(value)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}") from None
+
+
 def _zeta_value(raw):
-    if isinstance(raw, str) and raw != "auto":
-        return float(raw)  # raises ValueError on junk
-    return raw if isinstance(raw, str) else float(raw)
+    return raw if raw == "auto" else _number(float, raw, "--zeta")
 
 
 def _out_dir(resolved: dict) -> Path:
@@ -363,7 +378,7 @@ def _parse_candidates(raw: str):
             raise ValueError(
                 f"bad candidate {item!r}; expected q:rule like 1:last_constant"
             )
-        pairs.append((int(q), rule))
+        pairs.append((_number(int, q, f"q of --candidates entry {item!r}"), rule))
     return tuple(pairs)
 
 

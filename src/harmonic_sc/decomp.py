@@ -357,10 +357,7 @@ def decompose(
     """
     hsc.check_candidate(q, rule_kind)
     hsc.check_zeta(zeta)
-    if latent.t0 < q + 2:
-        raise ValueError(
-            f"need at least q+2 = {q + 2} pre-treatment periods, got {latent.t0}"
-        )
+    hsc.check_window(latent.t0, q, rule_kind, latent.t_post)
     grid = np.asarray(DEFAULT_RHO_GRID if rho_grid is None else rho_grid, dtype=float)
     basis = spectral.spectral_basis(latent.t0, q)
     shrink, match = spectral.path_gains(basis, grid)  # checks the grid

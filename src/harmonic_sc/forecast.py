@@ -176,6 +176,22 @@ def _fit_hamilton(z: np.ndarray, horizon: int) -> tuple:
     return table[:, :, :0:-1], table[:, :, 0]
 
 
+def check_length(rule_kind: str, n: int, horizon: int) -> None:
+    """Raise :class:`ForecastError` unless ``horizon`` is positive and ``n``
+    observations fit ``rule_kind`` (one of :data:`RULE_KINDS`) for
+    ``horizon`` steps: each rule's minimum, written once."""
+    if horizon < 1:
+        raise ForecastError(f"horizon must be positive, got {horizon}")
+    name, need = {
+        "last_constant": ("last_constant", 1),
+        "arima110": ("arima110", 3),
+        "ar": (f"ar({AR_ORDER})", AR_ORDER + 2),
+        "hamilton": (f"hamilton with horizon {horizon}", horizon + HAMILTON_LAGS + 1),
+    }[rule_kind]
+    if n < need:
+        raise ForecastError(f"{name} needs at least {need} observations, got {n}")
+
+
 def fit_rule(rule_kind: str, z: np.ndarray, horizon: int) -> ForecastRule:
     """Estimate a forecast rule on ``z`` and freeze it for ``horizon`` steps.
 
@@ -193,30 +209,12 @@ def fit_rule(rule_kind: str, z: np.ndarray, horizon: int) -> ForecastRule:
         raise ForecastError("remainder series must be a vector or an (n, m) stack")
     stack = z.reshape(z.shape[0], -1)
     n, m = stack.shape
-    if horizon < 1:
-        raise ForecastError(f"horizon must be positive, got {horizon}")
-
+    check_length(rule_kind, n, horizon)
     if rule_kind == "last_constant":
-        if n < 1:
-            raise ForecastError("last_constant needs at least 1 observation")
         fitted = np.ones((m, horizon, 1)), np.zeros((m, horizon))
-    elif rule_kind == "arima110":
-        if n < 3:
-            raise ForecastError(f"arima110 needs at least 3 observations, got {n}")
-        fitted = _fit_arima110(stack, horizon)
-    elif rule_kind == "ar":
-        if n < AR_ORDER + 2:
-            raise ForecastError(
-                f"ar({AR_ORDER}) needs at least {AR_ORDER + 2} observations, got {n}"
-            )
-        fitted = _fit_ar(stack, horizon)
     else:
-        if n < horizon + HAMILTON_LAGS + 1:
-            raise ForecastError(
-                f"hamilton with horizon {horizon} needs at least "
-                f"{horizon + HAMILTON_LAGS + 1} observations, got {n}"
-            )
-        fitted = _fit_hamilton(stack, horizon)
+        fit = {"arima110": _fit_arima110, "ar": _fit_ar, "hamilton": _fit_hamilton}
+        fitted = fit[rule_kind](stack, horizon)
     matrix, offset = fitted if z.ndim == 2 else [part[0] for part in fitted]
     return ForecastRule(kind=rule_kind, matrix=matrix, offset=offset)
 

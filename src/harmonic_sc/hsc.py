@@ -77,8 +77,8 @@ class HscFit:
     solution: qp.QPSolution
 
 
-#: Numerical failures of a weight path.  Callers catch these and nothing
-#: broader, so a bare ``ValueError`` from array code (a bug) propagates.
+#: Numerical failures of a fit past :func:`check_window`.  Callers catch these
+#: and nothing broader, so a ``ValueError`` from array code (a bug) propagates.
 NUMERICAL_FAILURES = (qp.SolverStall, spectral.EigenSolverError, np.linalg.LinAlgError)
 
 
@@ -91,6 +91,14 @@ def check_candidate(q, rule_kind) -> None:
             f"unknown forecast rule {rule_kind!r}; choose from "
             f"{', '.join(forecast.RULE_KINDS)}"
         )
+
+
+def check_window(n: int, q: int, rule_kind: str, horizon: int) -> None:
+    """Raise ``ValueError`` unless ``n`` pre-treatment periods fit a checked
+    candidate: ``n >= q + 2``, and :func:`forecast.check_length` at ``horizon``."""
+    if n < q + 2:
+        raise ValueError(f"q={q} needs q+2 = {q + 2} pre-treatment periods, got {n}")
+    forecast.check_length(rule_kind, n, horizon)
 
 
 def check_zeta(zeta) -> None:
@@ -202,9 +210,9 @@ def fit(view: PrePostView, cfg: HscConfig) -> HscFit:
     ------
     ValueError
         If a block of the view is not finite or exceeds
-        ``panel.MAX_LEVEL``, or the pre-period is shorter than q+2.
-    harmonic_sc.qp.SolverStall, forecast.ForecastError, numpy.linalg.LinAlgError
-        Propagated from the weight solver and the forecast rule.
+        ``panel.MAX_LEVEL``, or the pre-period fails :func:`check_window`.
+    NUMERICAL_FAILURES
+        Propagated from the basis, the weight solver and the forecast rule.
     """
     check_levels(
         y_pre=view.y_pre, x_pre=view.x_pre, y_post=view.y_post, x_post=view.x_post
@@ -214,11 +222,8 @@ def fit(view: PrePostView, cfg: HscConfig) -> HscFit:
     t0 = y.shape[0]
     if x.shape[0] != t0:
         raise ValueError("y_pre and x_pre disagree on the pre-period length")
-    if t0 < cfg.q + 2:
-        raise ValueError(
-            f"need at least q+2 = {cfg.q + 2} pre-treatment periods, got {t0}"
-        )
     t_post = view.y_post.shape[0]
+    check_window(t0, cfg.q, cfg.rule_kind, t_post)
 
     zeta = resolve_zeta(cfg.zeta, x, t_post)
     basis = spectral.spectral_basis(t0, cfg.q)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import baselines, forecast, hsc, tuning
+from . import baselines, hsc, tuning
 from .decomp import LatentPanel
 from .panel import Panel
 
@@ -278,14 +278,6 @@ def parse_method(token: str) -> tuple[str, int, str]:
     )
 
 
-#: Failures that count a replication as failed for its method; anything
-#: else, a bare ``ValueError`` from array code included, is a bug and
-#: propagates.
-_NUMERICAL_FAILURES = (
-    *hsc.NUMERICAL_FAILURES, forecast.ForecastError, tuning.CvExhausted
-)
-
-
 def _run_one_method(view, family: str, q: int, rule: str, plan) -> tuple:
     """Counterfactual and (for cross-validated fits) the selected rho."""
     if family == "hsc":
@@ -365,11 +357,11 @@ def run_study(
 
     Smoothing-level selection for ``hsc:*`` tokens runs rolling-origin
     cross-validation inside every replication (horizon ``h``, ``folds``
-    folds, the 21-point :func:`tuning.uniform_grid`).  Replications where an
-    estimator fails numerically (``_NUMERICAL_FAILURES``) are excluded from
-    that estimator's metrics and counted in ``failures`` — never silently
-    dropped; any other exception propagates.  Results are keyed by the
-    replication index, so the outcome is identical for any ``threads``.
+    folds, the 21-point :func:`tuning.uniform_grid`), after its windows
+    pass ``hsc.check_window``.  Replications where an estimator fails
+    numerically (``hsc.NUMERICAL_FAILURES``) are excluded from its metrics
+    and counted in ``failures``; any other exception propagates.  Results
+    are keyed by the replication index, so they do not depend on ``threads``.
     """
     if design == "grid":
         if not isinstance(cfg, GridDgpConfig):
@@ -387,6 +379,15 @@ def run_study(
         raise ValueError("reps must be >= 1")
     tokens = tuple(methods)
     parsed = [parse_method(token) for token in tokens]
+    for token, (family, q, rule) in zip(tokens, parsed):
+        if family == "hsc":  # CV's shortest training window, then the final fit's
+            first = tuning.rolling_origins(cfg.t0, h, folds)[0]
+            for n, horizon, name in ((first, h, "first training window"),
+                                     (cfg.t0, cfg.t_post, "pre-period")):
+                try:
+                    hsc.check_window(n, q, rule, horizon)
+                except ValueError as exc:
+                    raise ValueError(f"{token}: {n}-period {name}; {exc}") from None
     plans = [
         tuning.CvPlan(h=h, folds=folds, candidates=((q, rule),))
         if family == "hsc"
@@ -405,7 +406,7 @@ def run_study(
                 counterfactual, rho_hat = _run_one_method(
                     view, family, q, rule, plan
                 )
-            except _NUMERICAL_FAILURES:
+            except hsc.NUMERICAL_FAILURES:
                 fails[m] = True
                 continue
             errs[m] = counterfactual - view.y_post

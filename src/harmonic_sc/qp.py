@@ -405,7 +405,8 @@ def solve(
         if stuck.size:
             record()
     stalled = np.isinf(kkt)
-    kkt[stalled] = _stationarity(x[stalled], grad[stalled], scale[stalled])[0]
+    if stalled.any():
+        kkt[stalled] = _stationarity(x[stalled], grad[stalled], scale[stalled])[0]
     x[x < 1e-12] = 0.0
     x /= x.sum(axis=1, keepdims=True)
     solution = QPSolution(

@@ -109,17 +109,19 @@ def eigendecompose(k: np.ndarray, q: int) -> SpectralBasis:
     leaks 2e-6 through P0).  So the computed null vectors are replaced by the
     exact orthonormal polynomials and their component is taken out of the
     other eigenvectors.  That step uses elementwise sums only, so the bytes
-    do not depend on the BLAS thread count.
+    do not depend on the BLAS thread count.  The other eigenvectors stay
+    orthonormal only to second order in the leak (1e-10 at n=1600).
 
     Raises
     ------
     EigenSolverError
         If LAPACK reports a failure to converge, if the eigenvector matrix
-        loses orthonormality, if the spectrum does not separate cleanly
-        into q null eigenvalues at most ``n * eps * max(mu)`` (the
-        rounding of ``eigh``) and n-q eigenvalues above it, with the polynomials of degree < q in the
-        null space, or if the q=1 residual exceeds ``1e-10 * max|k|``
-        (``k`` is not the order-1 penalty).
+        drifts from orthonormal by more than ``1e4 * n * eps``, if the
+        spectrum does not separate cleanly into q null eigenvalues at most
+        ``n * eps * max(mu)`` (the rounding of ``eigh``) and n-q eigenvalues
+        above it, with the polynomials of degree < q in the null space, or
+        if the q=1 residual exceeds ``1e-10 * max|k|`` (``k`` is not the
+        order-1 penalty).
     """
     q = _check_order(q)
     k = np.asarray(k, dtype=float)
@@ -162,9 +164,9 @@ def eigendecompose(k: np.ndarray, q: int) -> SpectralBasis:
             rest = rest - np.outer(col, np.sum(col[:, None] * rest, axis=0))
         vecs = np.hstack([null, rest])
     ortho_err = np.max(np.abs(vecs.T @ vecs - np.eye(n)))
-    if ortho_err > 1e-10:
+    if ortho_err > 1e4 * n * np.finfo(float).eps:
         raise EigenSolverError(
-            f"eigenvector orthonormality drift {ortho_err:.3e} exceeds 1e-10"
+            f"eigenvector orthonormality drift {ortho_err:.3e} exceeds 1e4 * n * eps"
         )
     eigvals[:q] = 0.0
     return SpectralBasis(n=n, q=q, eigenvalues=eigvals, eigenvectors=vecs)

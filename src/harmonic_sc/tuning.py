@@ -13,8 +13,8 @@ of simplex QPs started from the previous fold's weights (``hsc.fit_path``),
 and shared by every rule of that q.  Each path is scored as one stack too:
 each rule forecasts every column of the smooth parts ``E`` in one
 :func:`forecast.compose`, and the squared errors of all grid points come
-from one product ``x_val @ W.T``.  A q whose first training window is
-shorter than q+2 is excluded before any solve.
+from one product ``x_val @ W.T``.  A candidate whose first training window
+fails ``hsc.check_window`` is excluded before any solve.
 
 Ties in the CV objective break toward larger rho (the candidate that leans
 hardest on donor matching and least on the forecaster); across candidate
@@ -29,10 +29,6 @@ import numpy as np
 
 from harmonic_sc import forecast, hsc, spectral
 from harmonic_sc.panel import check_levels
-
-
-class CvExhausted(ValueError):
-    """Every candidate failed cross-validation: nothing is left to select."""
 
 
 def uniform_grid() -> np.ndarray:
@@ -86,10 +82,7 @@ class CvPlan:
     zeta: float | str = "auto"
 
     def __post_init__(self) -> None:
-        if self.h < 1:
-            raise ValueError(f"horizon must be positive, got {self.h}")
-        if self.folds < 1:
-            raise ValueError(f"fold count must be positive, got {self.folds}")
+        rolling_origins(self.h + self.folds, self.h, self.folds)  # h, folds >= 1
         grid = spectral.check_grid(self.rho_grid)
         if not self.candidates:
             raise ValueError("need at least one (q, rule_kind) candidate")
@@ -108,8 +101,8 @@ class CvResult:
 
     ``table[c, g]`` is the mean squared forecast error of candidate ``c`` at
     grid point ``g``; ``per_fold_errors[c, l, s, g]`` the squared error of
-    fold ``l`` at step ``s``.  Candidates that failed on any fold carry NaN
-    rows and are listed in ``excluded``.
+    fold ``l`` at step ``s``.  Candidates excluded at entry or failed on
+    any fold carry NaN rows and are listed in ``excluded``.
     """
 
     rho_grid: np.ndarray
@@ -121,11 +114,6 @@ class CvResult:
     best_candidate: tuple
     best_value: float
     excluded: tuple
-
-
-#: Failures of a forecast rule's fit that exclude its candidate.  Narrower
-#: than the weights' catch: a bare ``ValueError`` from array code is a bug.
-_FORECAST_FAILURES = (forecast.ForecastError, np.linalg.LinAlgError)
 
 
 def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResult:
@@ -144,8 +132,10 @@ def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResu
     ------
     ValueError
         If an input is not finite or exceeds ``panel.MAX_LEVEL``, the fold
-        layout does not fit the pre-period, or every candidate failed
-        (:class:`CvExhausted`).
+        layout does not fit the pre-period, or no candidate fits the first
+        training window.
+    hsc.NUMERICAL_FAILURES
+        The first failure, when every candidate past the entry check fails.
     """
     y_pre = np.asarray(y_pre, dtype=float)
     x_pre = np.asarray(x_pre, dtype=float)
@@ -159,12 +149,17 @@ def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResu
 
     per_fold = np.full((n_cand, plan.folds, plan.h, grid.size), np.nan)
     failed = {}  # candidate index -> (training length, reason) of its first failure
+    first = origins[0]  # the shortest window: checked before any solve
+    for ci, (q, rule) in enumerate(plan.candidates):
+        try:
+            hsc.check_window(first, q, rule, plan.h)
+        except ValueError as exc:
+            failed[ci] = (first, f"{first}-period first training window; {exc}")
+    if len(failed) == n_cand:
+        raise ValueError(f"every candidate is excluded: {failed[0][1]}")
+    errors = []  # numerical failures, in the order they happened
     for q in dict.fromkeys(q for q, _ in plan.candidates):
         members = [ci for ci, cand in enumerate(plan.candidates) if cand[0] == q]
-        if origins[0] < q + 2:  # checked before any solve
-            reason = f"{origins[0]}-period first training window; q={q} needs {q + 2}"
-            failed.update((ci, (origins[0], reason)) for ci in members)
-            continue
         start = None  # each fold starts from the previous fold's weights
         for li, k in enumerate(origins):
             live = [ci for ci in members if ci not in failed]
@@ -181,6 +176,7 @@ def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResu
             except hsc.NUMERICAL_FAILURES as exc:
                 # The weights failed: every rule of this q loses the fold,
                 # not the run.
+                errors.append(exc)
                 for ci in live:
                     failed[ci] = (k, str(exc))
                 continue
@@ -189,7 +185,8 @@ def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResu
             for ci in live:
                 try:
                     fc = forecast.compose(plan.candidates[ci][1], basis, smooth, plan.h)
-                except _FORECAST_FAILURES as exc:
+                except hsc.NUMERICAL_FAILURES as exc:
+                    errors.append(exc)
                     failed[ci] = (k, str(exc))
                     continue
                 per_fold[ci, li] = (y_val[:, None] - (donor_part + fc)) ** 2
@@ -211,9 +208,8 @@ def cross_validate(y_pre: np.ndarray, x_pre: np.ndarray, plan: CvPlan) -> CvResu
         if best is None or np.sqrt(max(best_min - row_min, 0.0)) > tie:
             best = (float(row[gi]), ci, gi)
             best_min = row_min
-    if best is None:
-        detail = f"; first failure: {excluded[0][2]}" if excluded else ""
-        raise CvExhausted(f"every candidate failed cross-validation{detail}")
+    if best is None:  # every candidate left failed numerically or overflowed
+        raise errors[0] if errors else ValueError("no candidate has a finite cv score")
 
     return CvResult(
         rho_grid=grid,

@@ -245,7 +245,23 @@ def test_cv_short_first_window_exit(tmp_path, capsys):
          "--h", "1", "--folds", "2", "--out", str(tmp_path / "cv")]
     )
     assert code == 1
-    assert "1-period first training window; q=1 needs 3" in capsys.readouterr().err
+    assert (
+        "every candidate is excluded: 1-period first training window; "
+        "q=1 needs q+2 = 3 pre-treatment periods, got 1"
+    ) in capsys.readouterr().err
+
+
+def test_cv_numerical_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # A stall in every fold re-raises the first stall: a numerical failure,
+    # as for estimate, not a validation problem.
+    panel_csv = write_panel_csv(tmp_path / "panel.csv")
+    monkeypatch.setattr(qp, "solve", stalled_solve)
+    code = cli.main(
+        ["cv", "--panel", str(panel_csv), "--treated", "A", "--t0", "10",
+         "--folds", "3", "--out", str(tmp_path / "cv")]
+    )
+    assert code == 2
+    assert "error: numerical failure: no certified point" in capsys.readouterr().err
 
 
 def test_cv_overflowing_levels_exit(tmp_path, capsys):
@@ -295,8 +311,9 @@ def test_config_file_supplies_and_flags_override(tmp_path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("zeta", None), ("rho", None), ("t0", [80]), ("treated", {"id": "A"})],
-    ids=["zeta-null", "rho-null", "t0-list", "treated-object"],
+    [("zeta", None), ("rho", None), ("t0", [80]), ("treated", {"id": "A"}),
+     ("t0", "abc"), ("rho", "half")],
+    ids=["zeta-null", "rho-null", "t0-list", "treated-object", "t0-junk", "rho-junk"],
 )
 def test_config_value_of_wrong_json_type_exits(tmp_path, capsys, key, value):
     panel_csv = write_panel_csv(tmp_path / "panel.csv")
@@ -307,6 +324,25 @@ def test_config_value_of_wrong_json_type_exits(tmp_path, capsys, key, value):
                      "--out", str(tmp_path / "x")])
     assert code == 1
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(["--zeta", "abc"], "--zeta must be a number, got 'abc'"),
+     (["--config", "{config}"], "--config file {config}: Expecting property name"),
+     (["--candidates", "x:ar"],
+      "q of --candidates entry 'x:ar' must be an integer, got 'x'")],
+    ids=["zeta", "config-json", "candidates"],
+)
+def test_unreadable_value_names_its_flag(tmp_path, capsys, args, message):
+    panel_csv = write_panel_csv(tmp_path / "panel.csv")
+    config = tmp_path / "config.json"
+    config.write_text("{not json")
+    code = cli.main(["cv", "--panel", str(panel_csv), "--treated", "A", "--t0", "10",
+                     "--folds", "3", *(a.format(config=config) for a in args),
+                     "--out", str(tmp_path / "cv")])
+    assert code == 1
+    assert message.format(config=config) in capsys.readouterr().err
 
 
 def test_config_key_that_is_no_flag_exits(tmp_path, capsys):
@@ -396,6 +432,25 @@ def test_simulate_grid_with_fewer_than_eight_donors(tmp_path):
                      "--out", str(out)])
     assert code == 0
     assert len(read_rows(out / "errors.csv")) == 2 * 1 * 3  # methods x reps x periods
+
+
+@pytest.mark.parametrize(
+    "t0, token, message",
+    [("15", "hsc:1:hamilton", "hsc:1:hamilton: 5-period first training window; "
+      "hamilton with horizon 1 needs at least 6 observations, got 5"),
+     ("13", "hsc:2:ar", "hsc:2:ar: 3-period first training window; "
+      "q=2 needs q+2 = 4 pre-treatment periods, got 3")],
+    ids=["hamilton", "q2"],
+)
+def test_simulate_window_too_short_exits_1(tmp_path, capsys, t0, token, message):
+    # Ten folds of horizon 1 leave too short a first window for the token:
+    # an input problem, named before any replication, not a failure count.
+    out = tmp_path / "s"
+    code = cli.main(["simulate", "--design", "simple", "--kappa", "1", "--reps", "3",
+                     "--t0", t0, "--methods", f"{token},sc", "--out", str(out)])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 def test_simulate_unknown_method_exit(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from harmonic_sc import decomp, forecast, hsc, spectral
+from harmonic_sc import decomp, forecast, hsc, qp, spectral
 
 
 def make_latent(seed=0, t0=48, t_post=6, n_donors=5, noise=0.3, exact_combo=False):
@@ -381,6 +381,16 @@ def test_decompose_validates_inputs():
     short, _ = make_latent(seed=62, t0=3)
     with pytest.raises(ValueError, match=r"q\+2 = 4 pre-treatment periods, got 3"):
         decomp.decompose(short, q=2)
+
+
+def test_decompose_checks_the_rule_window_before_any_solve(monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the window check")
+
+    monkeypatch.setattr(qp, "solve", solve)
+    latent, _ = make_latent(seed=62, t0=10, t_post=6)
+    with pytest.raises(forecast.ForecastError, match="needs at least 11 observations"):
+        decomp.decompose(latent, rule_kind="hamilton")
 
 
 def test_decompose_resolves_ridge_once():

@@ -242,7 +242,12 @@ def test_fit_rejects_short_pre_period():
         hsc.fit(view, hsc.HscConfig(rho=0.5, q=2, zeta=0.1))
 
 
-def test_forecaster_minimums_propagate():
+def test_forecaster_minimums_propagate(monkeypatch):
+    # The rule's minimum is checked at entry, before any weight solve.
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the window check")
+
+    monkeypatch.setattr(qp, "solve", solve)
     view = random_view(12, t0=6, t_post=4)
     with pytest.raises(ForecastError, match="hamilton"):
         hsc.fit(view, hsc.HscConfig(rho=0.5, q=1, rule_kind="hamilton", zeta=0.1))

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from harmonic_sc import hsc, mc, tuning
+from harmonic_sc import forecast, hsc, mc, qp, tuning
 
 
 def small_grid_cfg(**overrides):
@@ -245,34 +245,66 @@ def test_run_study_records_rho_hat_on_grid():
     assert np.all(np.isin(samples, tuning.uniform_grid()))
 
 
-def test_run_study_counts_failures():
-    # A training window too short for the Hamilton regression makes every
-    # fold fail, so the method fails in every replication; the metric table
-    # must say so rather than report numbers.
-    cfg = small_simple_cfg(t0=7, t_post=2)
-    table = mc.run_study(
-        design="simple",
-        cfg=cfg,
-        methods=("sc", "hsc:1:hamilton"),
-        reps=3,
-        folds=2,
-    )
-    assert table.failures["hsc:1:hamilton"] == 3
-    assert np.all(np.isnan(table.errors["hsc:1:hamilton"]))
-    assert np.isnan(table.pooled_rmse["hsc:1:hamilton"])
-    assert table.rho_hat_samples["hsc:1:hamilton"].size == 0
+def test_run_study_counts_failures(monkeypatch):
+    # A weight solve that stalls in every fold fails the method in every
+    # replication; the metric table must say so rather than report numbers.
+    def stalled(*args, **kwargs):
+        raise qp.SolverStall("forced stall", None)
+
+    monkeypatch.setattr(hsc, "fit_path", stalled)
+    table = mc.run_study(**study_kwargs(reps=3))
+    token = "hsc:1:last_constant"
+    assert table.failures[token] == 3
+    assert np.all(np.isnan(table.errors[token]))
+    assert np.isnan(table.pooled_rmse[token])
+    assert table.rho_hat_samples[token].size == 0
     assert table.failures["sc"] == 0
     assert np.isfinite(table.pooled_rmse["sc"])
 
 
-def test_run_study_propagates_bugs(monkeypatch):
-    # A bare ValueError inside a method is a programming error, not a
-    # numerical failure: it must not turn into an anonymous failure count.
-    def broken(*args, **kwargs):
-        raise ValueError("operands could not be broadcast together")
+@pytest.mark.parametrize(
+    "t0, t_post, folds, token, message",
+    [(15, 3, 10, "hsc:1:hamilton", "hsc:1:hamilton: 5-period first training window; "
+      "hamilton with horizon 1 needs at least 6 observations, got 5"),
+     (13, 3, 10, "hsc:2:ar", "hsc:2:ar: 3-period first training window; "
+      "q=2 needs q\\+2 = 4 pre-treatment periods, got 3"),
+     (12, 8, 2, "hsc:1:hamilton", "hsc:1:hamilton: 12-period pre-period; "
+      "hamilton with horizon 8 needs at least 13 observations, got 12")],
+    ids=["hamilton-cv-window", "q2-cv-window", "hamilton-pre-period"],
+)
+def test_run_study_rejects_a_short_window_before_any_replication(
+    monkeypatch, t0, t_post, folds, token, message
+):
+    # Both CV's first training window and the final fit's pre-period are
+    # checked for every hsc token, once, before the first replication.
+    def simulate(*args, **kwargs):
+        raise AssertionError("replicated before the window check")
 
-    monkeypatch.setattr(hsc, "fit_path", broken)
-    with pytest.raises(ValueError, match="could not be broadcast"):
+    monkeypatch.setattr(mc, "simulate_simple", simulate)
+    cfg = small_simple_cfg(t0=t0, t_post=t_post)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mc.run_study("simple", cfg, ("sc", token), reps=3, folds=folds)
+
+
+def broken(*args, **kwargs):
+    raise ValueError("operands could not be broadcast together")
+
+
+def misrouted(*args, **kwargs):
+    raise forecast.ForecastError("path length 9 does not match basis size 10")
+
+
+@pytest.mark.parametrize(
+    "target, name, fake, message",
+    [(hsc, "fit_path", broken, "could not be broadcast"),
+     (forecast, "compose", misrouted, "does not match basis size")],
+    ids=["value-error", "forecast-error"],
+)
+def test_run_study_propagates_bugs(monkeypatch, target, name, fake, message):
+    # A bare ValueError or a ForecastError inside a method is a programming
+    # error, not a numerical failure: it must not turn into a failure count.
+    monkeypatch.setattr(target, name, fake)
+    with pytest.raises(ValueError, match=message):
         mc.run_study(**study_kwargs(reps=1))
 
 

@@ -328,7 +328,10 @@ def test_short_first_window_excludes_its_order_before_any_solve(monkeypatch):
     calls = counting_solve(monkeypatch)
     result = tuning.cross_validate(y_pre, x_pre, plan)
     assert result.origins == (3, 4, 5, 6)
-    reason = "3-period first training window; q=2 needs 4"
+    reason = (
+        "3-period first training window; "
+        "q=2 needs q+2 = 4 pre-treatment periods, got 3"
+    )
     assert result.excluded == (
         ((2, "last_constant"), 3, reason), ((2, "ar"), 3, reason)
     )
@@ -389,12 +392,50 @@ def test_failing_candidate_is_excluded_and_reported():
     assert "at least" in message
 
 
-def test_all_candidates_failing_raises():
+def test_all_candidates_failing_raises(monkeypatch):
+    # No candidate fits the 4-period first window: a ValueError naming the
+    # window, before any solve.
     rng = np.random.default_rng(19)
     y_pre, x_pre, _, _ = random_panel(rng, t0=12, n_donors=4)
     plan = tuning.CvPlan(folds=8, candidates=((1, "hamilton"),))
-    with pytest.raises(ValueError, match="every candidate failed"):
+    calls = counting_solve(monkeypatch)
+    with pytest.raises(
+        ValueError,
+        match="^every candidate is excluded: 4-period first training window; "
+        "hamilton with horizon 1 needs at least 6 observations, got 4$",
+    ):
         tuning.cross_validate(y_pre, x_pre, plan)
+    assert calls == []
+
+
+def test_numerical_failure_of_every_candidate_is_reraised(monkeypatch):
+    # Past the window check only numerical failures remain; when they take
+    # every candidate, the first one propagates as itself.
+    rng = np.random.default_rng(21)
+    y_pre, x_pre, _, _ = random_panel(rng, t0=24, n_donors=4)
+    seen = []
+
+    def solve(problem, *args, **kwargs):
+        seen.append(qp.SolverStall(f"forced stall {len(seen)}", None))
+        raise seen[-1]
+
+    monkeypatch.setattr(qp, "solve", solve)
+    with pytest.raises(qp.SolverStall) as info:
+        tuning.cross_validate(y_pre, x_pre, shared_plan())
+    assert info.value is seen[0]
+
+
+def test_overflowing_scores_leave_nothing_to_select():
+    # An ar(4) fitted on a 7-period window and run 190 steps ahead can
+    # overflow: no exception, but no finite score to select either.
+    rng = np.random.default_rng(181)
+    x = np.cumsum(rng.normal(size=(197, 3)), axis=0) * 1e8
+    y = x @ np.array([0.2, 0.3, 0.5]) + 1e8 * np.cumsum(rng.normal(size=197))
+    plan = tuning.CvPlan(h=190, folds=1, rho_grid=[0.0], candidates=((1, "ar"),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="^no candidate has a finite cv score$"):
+            tuning.cross_validate(y, x, plan)
 
 
 def test_infeasible_layout_raises():
@@ -520,8 +561,10 @@ def reference_cross_validate(y_pre, x_pre, plan):
                     e = v @ (shrink[0] * (u_y - u_x @ weights))
                     fc = forecast.compose(rule, basis, e, plan.h)
                     per_fold[ci, li, :, gi] = (y_val - (x_val @ weights + fc)) ** 2
-            except forecast.ForecastError as exc:
-                excluded.append(((q, rule), k, str(exc)))
+            except forecast.ForecastError as exc:  # only a first window is short
+                assert li == 0
+                reason = f"{k}-period first training window; {exc}"
+                excluded.append(((q, rule), k, reason))
                 per_fold[ci] = np.nan
                 break
     table = per_fold.mean(axis=(1, 2))
@@ -568,10 +611,15 @@ def test_stacked_scoring_matches_per_point_reference(seed):
     assert [c for c, _, _ in result.excluded] == [(1, "hamilton")]
 
 
-@pytest.mark.parametrize("error", [ValueError("broadcast bug"), IndexError("index bug")])
+@pytest.mark.parametrize(
+    "error",
+    [ValueError("broadcast bug"), IndexError("index bug"),
+     forecast.ForecastError("path length 9 does not match basis size 10")],
+)
 def test_bugs_in_forecast_scoring_propagate(monkeypatch, error):
-    # Only forecast failures exclude a candidate; a bare ValueError or an
-    # IndexError from array code is a bug and must surface.
+    # Past the window check only numerical failures exclude a candidate; a
+    # bare ValueError, an IndexError or a ForecastError is a bug and must
+    # surface.
     rng = np.random.default_rng(59)
     y_pre, x_pre, _, _ = random_panel(rng, t0=24, n_donors=4)
 
